@@ -7,7 +7,12 @@ anywhere is therefore reproducible run to run.
 
 Multiplication, inversion and conjugation index tables are built lazily as
 numpy arrays; the hot subgroup-level scans (normalizers, transporters, cores)
-are vectorized over them.
+are vectorized over them.  The multiplication table is built by a
+breadth-first walk of the right Cayley graph over the generators: only the
+generators' rows are looked up permutation by permutation, and every other
+row is one numpy gather of a row already built.  Its Python-list view,
+``mul_rows``, builds each row on first use, so a query that touches a few
+subgroups of a large group never boxes the whole n*n table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, EngineError, ValidationError
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import (Perm, compose, cycle_string, identity, inverse,
                     perm_order, validate_perm)
@@ -71,7 +76,7 @@ class Group:
         self._mul: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._conj: np.ndarray | None = None
-        self._mul_rows: list[list[int]] | None = None
+        self._mul_rows: _RowStore | None = None
         self._orders: tuple[int, ...] | None = None
         self._lattice_cache: dict = {}
 
@@ -102,25 +107,62 @@ class Group:
 
     @property
     def mul_table(self) -> np.ndarray:
-        """``mul_table[i, j]`` is the index of ``elements[i] * elements[j]``."""
+        """``mul_table[i, j]`` is the index of ``elements[i] * elements[j]``.
+
+        Built along the right Cayley graph: ``row(x*g) = row(x)[row(g)]``
+        because ``(x*g)*j = x*(g*j)``, so a breadth-first walk from the
+        identity over the generators fills every row with one gather each.
+        Only the generators' rows are looked up permutation by permutation.
+        Raises EngineError when the generators do not generate ``elements``.
+        """
         if self._mul is None:
-            n = self.order
-            P = np.array(self.elements, dtype=np.int64)
-            table = np.empty((n, n), dtype=self._dtype())
-            lookup = {p: i for i, p in enumerate(self.elements)}
-            for i in range(n):
-                rows = P[:, P[i]].tolist()  # rows[j] = elements[i] * elements[j]
-                ti = table[i]
-                for j in range(n):
-                    ti[j] = lookup[tuple(rows[j])]
-            self._mul = table
+            self._mul = self._cayley_table()
         return self._mul
 
+    def _cayley_table(self) -> np.ndarray:
+        n = self.order
+        lookup = self._index
+        P = np.array(self.elements, dtype=np.int64)
+        steps: list[tuple[int, np.ndarray]] = []
+        try:
+            for g in self.generators:
+                gi = lookup[g]
+                # P[:, P[gi]][j] is elements[gi] * elements[j]
+                images = map(tuple, P[:, P[gi]].tolist())
+                steps.append((gi, np.fromiter((lookup[q] for q in images),
+                                              dtype=np.int64, count=n)))
+        except KeyError:
+            raise EngineError("the element list is not closed under "
+                              "multiplication by the generators") from None
+        table = np.empty((n, n), dtype=self._dtype())
+        table[0] = np.arange(n)
+        reached = [False] * n
+        reached[0] = True
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                row_x = table[x]
+                for gi, row_g in steps:
+                    y = int(row_x[gi])
+                    if not reached[y]:
+                        reached[y] = True
+                        table[y] = row_x[row_g]
+                        nxt.append(y)
+            frontier = nxt
+        if not all(reached):
+            raise EngineError(
+                f"the generators reach {sum(reached)} of the {n} elements; "
+                f"construct groups through generate_group")
+        return table
+
     @property
-    def mul_rows(self) -> list[list[int]]:
-        """The multiplication table as nested lists (fast scalar access)."""
+    def mul_rows(self) -> "_RowStore":
+        """``mul_rows[i][j]`` is the index of ``elements[i] * elements[j]``,
+        with rows as Python lists (fast scalar access).  Each row is built
+        from ``mul_table`` the first time it is indexed."""
         if self._mul_rows is None:
-            self._mul_rows = self.mul_table.tolist()
+            self._mul_rows = _RowStore(self.mul_table)
         return self._mul_rows
 
     @property
@@ -158,25 +200,45 @@ class Group:
         return Subgroup._from_closed(self, tuple(range(self.order)))
 
     def closure_indices(self, seed: Iterable[int]) -> tuple[int, ...]:
-        """Indices of the subgroup generated by the given element indices."""
-        mul = self.mul_rows
+        """Indices of the subgroup generated by the given element indices.
+
+        The set grows by left multiplication by the generators, ``g*x`` is
+        ``mul_rows[g][x]``, so only the generators' rows are fetched, not
+        one row per member.
+        """
         gens = sorted(set(seed) - {0})
         if not gens:
             return (0,)
+        mul = self.mul_rows
+        rows = [mul[g] for g in gens]
         members = {0}
         members.update(gens)
         frontier = list(members)
         while frontier:
             nxt = []
             for x in frontier:
-                row = mul[x]
-                for g in gens:
-                    y = row[g]
+                for row in rows:
+                    y = row[x]
                     if y not in members:
                         members.add(y)
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(members))
+
+
+class _RowStore(dict):
+    """Rows of a multiplication table as lists, each built on first use."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, i: int) -> list[int]:
+        # concurrent fills of one row compute the same list: idempotent
+        row = self[i] = self._table[i].tolist()
+        return row
 
 
 class Subgroup:
@@ -637,9 +699,12 @@ def subgroup_label(H) -> str:
         return f"A{f.order}ab"
     if f.order == 8 and f.involutions == 1:
         return "Q8"
-    if f.involutions >= 2:
+    # dihedral of order 2n: an element of order n, and n + 1 involutions for
+    # n even (n for n odd); semidihedral and modular groups have fewer
+    half = f.order // 2
+    if f.involutions == (half + 1 if half % 2 == 0 else half):
         orders = (H.element_orders if isinstance(H, Group)
                   else tuple(H.parent.element_orders[i] for i in H.indices))
-        if max(orders) == f.order // 2:
+        if max(orders) == half:
             return f"D{f.order}"
     return f"G{f.order}"

@@ -80,11 +80,12 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
     for x in members:
         if x == 0:
             continue
+        row_x = mul[x]
         powers = [0]
         y = x
         while y != 0:
             powers.append(y)
-            y = mul[y][x]
+            y = row_x[y]
         key = tuple(sorted(powers))
         if key not in subs:
             subs[key] = (x,)

@@ -8,6 +8,8 @@ only meant for desk-scale groups.
 
 from itertools import combinations
 
+import numpy as np
+
 from fusionsys.perms import compose, conjugate, identity, inverse
 
 
@@ -26,6 +28,19 @@ def naive_closure(degree, gens):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def mul_table_oracle(elements):
+    """``M[i, j]``, the index of ``elements[i] * elements[j]``, one product
+    at a time by dictionary lookup; the reference for ``Group.mul_table``."""
+    n = len(elements)
+    P = np.array(elements, dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    lookup = {p: i for i, p in enumerate(elements)}
+    for i in range(n):
+        rows = P[:, P[i]].tolist()  # rows[j] = elements[i] * elements[j]
+        table[i] = [lookup[tuple(r)] for r in rows]
+    return table
 
 
 def is_subgroup_set(members):

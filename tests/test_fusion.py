@@ -364,3 +364,15 @@ def test_fusion_p_core_unique_largest(corpus_contexts):
         for H in ctx.lattice_S.all:
             if is_fusion_normal(ctx, H):
                 assert set(H.members) <= set(core.members)
+
+
+def test_fusion_queries_build_few_table_rows():
+    # mul_rows builds rows on first use; fusion work on S touches only rows
+    # of S and of closure generators, never the whole n*n list table
+    G = alternating(7)
+    for p in (2, 3, 5, 7):
+        ctx = FusionContext.build(G, p)
+        ctx.lattice_S
+        essential_star(ctx)
+        supersolvable_chain(ctx)
+    assert len(G.mul_rows) <= 0.02 * G.order

@@ -1,16 +1,18 @@
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fusionsys import (CapacityError, Group, Limits, Subgroup,
-                       ValidationError, centralizer, conjugate_subgroup, core,
+from fusionsys import (CORPUS, CapacityError, EngineError, Group, Limits,
+                       Subgroup, ValidationError, alternating, builtin_group,
+                       heisenberg, centralizer, conjugate_subgroup, core,
                        generate_group, normalizer, quotient_group,
                        structure_flags, subgroup_label, subgroup_product,
                        sylow_subgroup, symmetric)
-from fusionsys.perms import compose, from_cycles, identity
+from fusionsys.perms import compose, from_cycles, identity, inverse
 
 
 def S4():
@@ -66,6 +68,58 @@ def test_tables_consistent():
             lhs = els[conj[g, i]]
             rhs = compose(compose(els[inv[g]], els[i]), els[g])
             assert lhs == rhs
+
+
+def _table_cases():
+    cases = [(entry.name, lambda spec=entry.spec: builtin_group(spec))
+             for entry in CORPUS]
+    cases.append(("A7", lambda: alternating(7)))
+    cases.append(("Heis3", lambda: heisenberg(3)))  # degree 27
+
+    def s4_mod_v4():
+        G = S4()
+        v = Subgroup(G, G.closure_indices([
+            G.index_of(from_cycles(4, [[0, 1], [2, 3]])),
+            G.index_of(from_cycles(4, [[0, 2], [1, 3]]))]))
+        return quotient_group(G, v)[0]
+
+    def sylow_of_s4():
+        return sylow_subgroup(S4(), 2).as_group()
+
+    def trivial_of_s4():
+        return S4().trivial_subgroup().as_group()  # generator: the identity
+
+    cases += [("S4/V4", s4_mod_v4), ("Syl2(S4)", sylow_of_s4),
+              ("1<S4", trivial_of_s4)]
+    return cases
+
+
+@pytest.mark.parametrize("build", [b for _, b in _table_cases()],
+                         ids=[name for name, _ in _table_cases()])
+def test_tables_match_oracle(build):
+    G = build()
+    M = oracles.mul_table_oracle(G.elements)
+    assert np.array_equal(G.mul_table, M)
+    inv = np.array([G.index_of(inverse(x)) for x in G.elements])
+    assert np.array_equal(G.inv_vector, inv)
+    # conj[g, i] = g^-1 * i * g
+    n = G.order
+    conj = M[M[inv[:, None], np.arange(n)[None, :]], np.arange(n)[:, None]]
+    assert np.array_equal(G.conj_table, conj)
+    for i in (0, n // 2, n - 1):
+        assert G.mul_rows[i] == M[i].tolist()
+
+
+def test_tables_reject_generators_that_do_not_generate():
+    S = S4()
+    t = from_cycles(4, [[0, 1]])
+    with pytest.raises(EngineError):
+        Group(4, (t,), S.elements).mul_table  # <(01)> is not S4
+    with pytest.raises(EngineError):
+        Group(4, (), S.elements).mul_table
+    c3 = generate_group(4, [from_cycles(4, [[0, 1, 2]])])
+    with pytest.raises(EngineError):
+        Group(4, (t,), c3.elements).mul_table  # (01) is not an element
 
 
 def test_subgroup_constructor_validates():
@@ -187,6 +241,25 @@ def test_structure_flags_and_labels():
     assert f4.cyclic and f4.abelian and f4.exponent == 4
     assert subgroup_label(c4) == "C4"
     assert f4.is_p_group(2) and not f4.is_p_group(3)
+
+
+def _c8_extension(multiplier):
+    """C8 extended by x -> multiplier*x, acting on Z/8 (order 16)."""
+    return generate_group(8, [tuple((x + 1) % 8 for x in range(8)),
+                              tuple(multiplier * x % 8 for x in range(8))])
+
+
+def test_dihedral_label_counts_involutions():
+    dihedral16 = _c8_extension(7)
+    semidihedral16 = _c8_extension(3)
+    modular16 = _c8_extension(5)
+    assert structure_flags(dihedral16).involutions == 9
+    assert structure_flags(semidihedral16).involutions == 5
+    assert structure_flags(modular16).involutions == 3
+    assert subgroup_label(dihedral16) == "D16"
+    assert subgroup_label(semidihedral16) == "G16"
+    assert subgroup_label(modular16) == "G16"
+    assert subgroup_label(symmetric(3)) == "D6"
 
 
 def test_lagrange_for_every_generated_subgroup():

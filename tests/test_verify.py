@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
 from fusionsys import (CapacityError, Limits, ValidationError, check_theorem,
                        cyclic, dicyclic, heisenberg, run_suite,
-                       scan_hypothesis, symmetric, branch_fidelity_report)
+                       scan_hypothesis, symmetric, branch_fidelity_report,
+                       suite_payload)
 from fusionsys.verify import (CASE_SHAPES, REGISTRY, REGISTRY_ORDER,
                               ContextBundle, HypothesisTemplate)
 
@@ -127,6 +130,22 @@ def test_run_suite_deterministic_across_threads(corpus):
             o.witness_orders) for o in a.outcomes]
     assert key == [(o.theorem_id, o.group_name, o.prime, o.verdict,
                     o.witness_orders) for o in b.outcomes]
+
+
+def test_run_suite_threads_share_one_group():
+    # four threads fill the lazy tables and caches of one Group object at
+    # once; every fill is idempotent, so the payload matches one thread's
+    def entries():
+        G = symmetric(4)
+        return [(f"S4/{k}", G) for k in range(4)]
+    one = suite_payload(run_suite(entries(), threads=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        four = suite_payload(run_suite(entries(), threads=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert four == one
 
 
 def test_run_suite_quarantines_capacity(corpus):
