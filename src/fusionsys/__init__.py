@@ -27,8 +27,9 @@ from .fusion import (CLOSURE_PREDICATES, FUSION_PREDICATES, AutomizerPair,
                      sylow_controls_fusion)
 from .groups import (Group, GroupMap, StructureFlags, Subgroup, centralizer,
                      conjugate_subgroup, core, generate_group, is_prime,
-                     normalizer, p_part, quotient_group, structure_flags,
-                     subgroup_label, subgroup_product, sylow_subgroup)
+                     normalizer, p_part, prime_divisors, quotient_group,
+                     structure_flags, subgroup_label, subgroup_product,
+                     sylow_subgroup)
 from .lattice import (ChiefFactor, HypercenterCheck, SubgroupLattice,
                       all_subgroups, chief_series_below, cyclic_quotient,
                       lies_in_U_hypercenter, maximal_subgroups,

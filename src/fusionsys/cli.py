@@ -28,7 +28,7 @@ from .errors import (CapacityError, EngineError, PreconditionError,
                      UnsupportedCaseError, ValidationError)
 from .fusion import (CLOSURE_PREDICATES, FUSION_PREDICATES, FusionContext,
                      closure_predicate, fusion_predicate, is_fusion_normal)
-from .groups import Group, Subgroup, sylow_subgroup
+from .groups import Group, Subgroup, prime_divisors, sylow_subgroup
 from .limits import DEFAULT_LIMITS
 from .normality import NORMALITY_KINDS, equivalence_suite, group_predicate
 from .perms import from_cycles
@@ -214,7 +214,7 @@ def _cmd_check(args) -> int:
     elif args.group:
         name, G = resolve_group(args.group, limits=limits)
         if args.prime == "all":
-            primes = [p for p in _primes_of(G.order)]
+            primes = prime_divisors(G.order)
         else:
             primes = [int(args.prime)]
         outcomes = []
@@ -259,20 +259,6 @@ def _cmd_equivalences(args) -> int:
     doc = make_report("equivalences", payload, limits=limits)
     _emit(doc, args, seconds=time.perf_counter() - t0)
     return 0
-
-
-def _primes_of(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 _COMMANDS = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .catalog import builtin_group
 from .errors import ValidationError
-from .groups import Group, generate_group, p_part
+from .groups import Group, generate_group, p_part, prime_divisors
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import cycles, from_cycles
 
@@ -133,7 +133,7 @@ def save_group(path: str, name: str, G: Group) -> None:
         "expected": {
             "order": G.order,
             "sylow": {str(p): p_part(G.order, p)
-                      for p in _prime_divisors(G.order)},
+                      for p in prime_divisors(G.order)},
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -166,17 +166,3 @@ def load_group(path: str, *, limits: Limits = DEFAULT_LIMITS
         _verify_expected(name, G, expected.get("order", G.order),
                          expected.get("sylow", {}))
     return str(name), G
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

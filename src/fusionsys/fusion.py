@@ -19,9 +19,9 @@ import numpy as np
 from .classify import has_strongly_p_embedded
 from .errors import (EngineError, PreconditionError, UnsupportedCaseError,
                      ValidationError)
-from .groups import (Group, GroupMap, Subgroup, centralizer, core,
-                     is_prime, normalizer, p_part, quotient_group,
-                     subgroup_product, sylow_subgroup)
+from .groups import (Group, GroupMap, Subgroup, _moved_conjugate_into,
+                     centralizer, core, is_prime, normalizer, p_part,
+                     quotient_group, subgroup_product, sylow_subgroup)
 from .lattice import SubgroupLattice, all_subgroups, cyclic_quotient
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -345,10 +345,9 @@ def closure_predicate(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureRepo
 def _closure_uncached(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureReport:
     G = ctx.G
     els = G.elements
-    q_idx = ctx._idx(Q)
 
     if kind == "strongly_closed":
-        M = G.conj_table[:, q_idx]
+        M = G.conj_table[:, ctx._idx(Q)]
         viol = ctx.S_mask[M] & ~ctx._mask_of(Q)[M]
         bad_rows = np.flatnonzero(viol.any(axis=1))
         if bad_rows.size:
@@ -362,17 +361,12 @@ def _closure_uncached(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureRepo
         return ClosureReport(kind=kind, holds=True, witness=None)
 
     if kind == "weakly_closed":
-        M = G.conj_table[:, q_idx]
-        rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
-        imgs = np.sort(M[rows], axis=1)
-        moved = (imgs != q_idx[np.newaxis, :]).any(axis=1)
-        bad = np.flatnonzero(moved)
-        if bad.size:
-            r = int(bad[0])
+        moved = _moved_conjugate_into(G, Q, ctx.S_mask)
+        if moved is not None:
+            g, img = moved
             return ClosureReport(kind=kind, holds=False, witness={
-                "conjugator": els[int(rows[r])],
-                "image": Subgroup._from_closed(
-                    G, tuple(int(v) for v in imgs[r])),
+                "conjugator": els[g],
+                "image": Subgroup._from_closed(G, img),
             })
         return ClosureReport(kind=kind, holds=True, witness=None)
 

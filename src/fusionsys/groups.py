@@ -34,6 +34,7 @@ __all__ = [
     "generate_group", "conjugate_subgroup", "normalizer", "centralizer",
     "core", "sylow_subgroup", "quotient_group", "subgroup_product",
     "structure_flags", "subgroup_label", "is_prime", "p_part",
+    "prime_divisors",
 ]
 
 
@@ -44,6 +45,21 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     return True
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def p_part(n: int, p: int) -> int:
@@ -464,6 +480,22 @@ def _mask(G: Group, indices) -> np.ndarray:
     m = np.zeros(G.order, dtype=bool)
     m[list(indices)] = True
     return m
+
+
+def _moved_conjugate_into(G: Group, H: Subgroup, region: np.ndarray
+                          ) -> tuple[int, tuple[int, ...]] | None:
+    """The least g (by index) with ``H^g`` inside the boolean mask
+    ``region`` and ``H^g != H``, with the indices of ``H^g``; None if every
+    conjugate of H inside ``region`` is H itself."""
+    idx = _as_index_array(H)
+    M = G.conj_table[:, idx]
+    rows = np.flatnonzero(region[M].all(axis=1))
+    imgs = np.sort(M[rows], axis=1)
+    moved = np.flatnonzero((imgs != idx[np.newaxis, :]).any(axis=1))
+    if not moved.size:
+        return None
+    r = int(moved[0])
+    return int(rows[r]), tuple(int(v) for v in imgs[r])
 
 
 def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:

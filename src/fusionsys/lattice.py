@@ -1,8 +1,12 @@
 """Subgroup lattices, normal/maximal subgroups, chief factors, hypercenter.
 
-The lattice walk is bottom-up: all cyclic subgroups first, then pairwise
-joins to a fixed point.  Every subgroup of a finite group is a join of cyclic
-subgroups, so the fixed point is the full lattice.  Results are sorted by
+The lattice walk is the cyclic extension method (Neubüser 1960; Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3), run up
+to conjugacy.  Every subgroup is a join of cyclic subgroups of prime-power
+order, so the walk joins one representative of each conjugacy class found
+with those cyclic subgroups only, and adds every new join together with its
+whole orbit under conjugation by the walked group, read off the
+conjugation-table rows of that group's generators.  Results are sorted by
 (order, index tuple) and cached on the anchor group, keyed by the member set
 walked.
 """
@@ -11,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, p_part
 from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = [
@@ -58,7 +64,11 @@ def all_subgroups(H, *, limits: Limits = DEFAULT_LIMITS) -> SubgroupLattice:
     anchor, members = _anchor_and_members(H)
     cached = anchor._lattice_cache.get(members)
     if cached is None:
-        cached = _walk_lattice(anchor, members, limits)
+        if isinstance(H, Group):
+            gens = tuple(H.index_of(g) for g in H.generators)
+        else:
+            gens = H.generating_indices()
+        cached = _walk_lattice(anchor, members, gens, limits)
         anchor._lattice_cache[members] = cached
     if len(cached.all) > limits.subgroup_cap:
         raise CapacityError(
@@ -69,14 +79,42 @@ def all_subgroups(H, *, limits: Limits = DEFAULT_LIMITS) -> SubgroupLattice:
 
 
 def _walk_lattice(anchor: Group, members: tuple[int, ...],
-                  limits: Limits) -> SubgroupLattice:
+                  gens: tuple[int, ...], limits: Limits) -> SubgroupLattice:
+    """The subgroups of H = <gens>, whose members are ``members``, by cyclic
+    extension up to conjugacy in H (Neubüser 1960; Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 3).
+
+    A queue holds one representative R per conjugacy class found, starting
+    from the trivial group.  Each R is joined with the cyclic subgroups <x>
+    of H of prime-power order, x not in R.  A join that is not found yet is
+    added together with its whole H-orbit, and it joins the queue as that
+    class's representative.  Orbits are breadth-first walks over the
+    conjugation rows of ``gens``, so a walk inside a subgroup conjugates by
+    that subgroup's members only.  A join whose product set |R||<x>|/|R meet
+    <x>| exceeds |H|/2 is H itself, and is not computed.
+
+    Completeness: a subgroup K is generated by cyclic subgroups C_1, ...,
+    C_k of prime-power order, since every cyclic group is generated by its
+    Sylow subgroups.  By induction on k, K' = <C_1, ..., C_(k-1)> = R^g for a
+    representative R and some g in H.  Then K = <R, C_k^(g^-1)>^g, and
+    <R, C_k^(g^-1)> is conjugate under R to a join that was tried, because
+    <R, C^r> = <R, C>^r for r in R: one cyclic subgroup per R-orbit is
+    joined.  The found set only ever grows by whole orbits, so K, which lies
+    in the orbit of that join, is found.
+
+    Raises CapacityError as soon as more than ``limits.subgroup_cap``
+    subgroups are found, also in the middle of an orbit.
+    """
     mul = anchor.mul_rows
+    conj = _ConjRows(anchor.conj_table, members)
     total = len(members)
     cap = limits.subgroup_cap
 
-    # seed: distinct cyclic subgroups, each remembering one generator
-    subs: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-    order_list: list[tuple[int, ...]] = [(0,)]
+    # distinct cyclic subgroups of prime-power order, each with one
+    # generator; cyclic_of[x] numbers the cyclic subgroup x generates
+    cyclics: list[tuple[tuple[int, ...], int]] = []
+    number: dict[tuple[int, ...], int] = {}
+    cyclic_of: dict[int, int] = {}
     for x in members:
         if x == 0:
             continue
@@ -86,46 +124,110 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
         while y != 0:
             powers.append(y)
             y = row_x[y]
+        if not _is_prime_power(len(powers)):
+            continue
         key = tuple(sorted(powers))
-        if key not in subs:
-            subs[key] = (x,)
-            order_list.append(key)
+        c = number.setdefault(key, len(cyclics))
+        if c == len(cyclics):
+            cyclics.append((key, x))
+        cyclic_of[x] = c
 
-    # pairwise joins to a fixed point
-    full_key = members
-    sets = {k: frozenset(k) for k in order_list}
-    i = 0
-    while i < len(order_list):
-        a = order_list[i]
-        sa = sets[a]
-        for j in range(i):
-            b = order_list[j]
-            sb = sets[b]
-            if sa <= sb or sb <= sa:
+    rows = [conj[g] for g in sorted(set(gens) - {0})]
+    found: set[tuple[int, ...]] = set()
+    _add_orbit(found, (0,), rows, cap)
+    queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
+    for rep, rep_gens in queue:  # the queue grows while it is walked
+        rset = frozenset(rep)
+        r = len(rep)
+        rep_rows = [conj[g] for g in rep_gens]
+        tried: set[int] = set()
+        for c, (ckey, x) in enumerate(cyclics):
+            if c in tried or x in rset:
                 continue
-            bound = len(a) * len(b) // len(sa & sb)
-            if 2 * bound > total:
-                join = full_key  # a proper divisor of |H| can't exceed |H|/2
+            _mark_orbit(tried, x, rep_rows, cyclic_of)
+            meet = len(rset.intersection(ckey))
+            if meet == r:
+                join = ckey  # R <= <x>
+            elif 2 * r * len(ckey) > total * meet:
+                join = members  # no proper subgroup exceeds |H|/2
             else:
-                join = tuple(anchor.closure_indices(subs[a] + subs[b]))
-            if join not in subs:
-                if len(subs) >= cap:
-                    raise CapacityError(
-                        f"subgroup walk exceeded the cap of {cap}",
-                        cap_name="subgroup_cap", cap_value=cap,
-                        reached=len(subs) + 1)
-                gens = subs[a] + subs[b]
-                if len(gens) > 4:
-                    gens = Subgroup._from_closed(anchor, join).generating_indices()
-                subs[join] = gens
-                sets[join] = frozenset(join)
-                order_list.append(join)
-        i += 1
+                join = anchor.closure_indices(rep_gens + (x,))
+            if join not in found:
+                _add_orbit(found, join, rows, cap)
+                queue.append((join, rep_gens + (x,)))
 
-    out = sorted(subs, key=lambda k: (len(k), k))
+    out = sorted(found, key=lambda k: (len(k), k))
     return SubgroupLattice(
         anchor=anchor, within=members,
         all=tuple(Subgroup._from_closed(anchor, k) for k in out))
+
+
+class _ConjRows(dict):
+    """``rows[g][i]`` is the index of ``elements[g]^-1 * elements[i] *
+    elements[g]`` for each walked member i.  Each row is a dict over the
+    members only, built on first use; a full-length list per row would cost
+    a large anchor more than a small walk inside it."""
+
+    __slots__ = ("_table", "_members", "_index")
+
+    def __init__(self, table: np.ndarray, members: tuple[int, ...]):
+        super().__init__()
+        self._table = table
+        self._members = members
+        self._index = np.array(members, dtype=np.int64)
+
+    def __missing__(self, g: int) -> dict[int, int]:
+        row = self[g] = dict(zip(self._members,
+                                 self._table[g][self._index].tolist()))
+        return row
+
+
+def _is_prime_power(n: int) -> bool:
+    q = next(q for q in range(2, n + 1) if n % q == 0)
+    return p_part(n, q) == n
+
+
+def _mark_orbit(tried: set, x: int, rows: list[dict[int, int]],
+                cyclic_of: dict[int, int]) -> None:
+    """Mark the cyclic subgroups conjugate to <x> under ``rows`` as tried."""
+    tried.add(cyclic_of[x])
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for row in rows:
+                z = row[y]
+                c = cyclic_of[z]
+                if c not in tried:
+                    tried.add(c)
+                    nxt.append(z)
+        frontier = nxt
+
+
+def _add_orbit(found: set, key: tuple[int, ...], rows: list[dict[int, int]],
+               cap: int) -> None:
+    """Add ``key`` and its images under the conjugation ``rows`` to
+    ``found``, breadth first; raise as soon as ``found`` would pass ``cap``."""
+
+    def add(K: tuple[int, ...]) -> None:
+        if len(found) >= cap:
+            raise CapacityError(
+                f"subgroup walk exceeded the cap of {cap}",
+                cap_name="subgroup_cap", cap_value=cap,
+                reached=len(found) + 1)
+        found.add(K)
+
+    add(key)
+    frontier = [key]
+    while frontier:
+        nxt = []
+        for K in frontier:
+            for row in rows:
+                img = tuple(sorted([row[i] for i in K]))
+                if img not in found:
+                    add(img)
+                    nxt.append(img)
+        frontier = nxt
 
 
 def _is_normal(G: Group, H: Subgroup) -> bool:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import EngineError, ValidationError
 from .fusion import FusionContext, closure_predicate
-from .groups import (Group, Subgroup, core, is_prime, normalizer, p_part,
-                     sylow_subgroup)
+from .groups import (Group, Subgroup, _moved_conjugate_into, core, is_prime,
+                     normalizer, p_part, sylow_subgroup)
 from .lattice import all_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
@@ -141,20 +141,14 @@ def _weakly_closed_in_S(G: Group, S: Subgroup, H: Subgroup,
 def _closed_into(G: Group, H: Subgroup, region: frozenset,
                  kind: str) -> PredicateReport:
     """Shared scan: every conjugate landing inside ``region`` must equal H."""
-    idx = np.fromiter(H.indices, dtype=np.int64, count=H.order)
     mask = np.zeros(G.order, dtype=bool)
     mask[list(region)] = True
-    M = G.conj_table[:, idx]
-    rows = np.flatnonzero(mask[M].all(axis=1))
-    imgs = np.sort(M[rows], axis=1)
-    moved = (imgs != idx[np.newaxis, :]).any(axis=1)
-    bad = np.flatnonzero(moved)
-    if bad.size:
-        r = int(bad[0])
+    moved = _moved_conjugate_into(G, H, mask)
+    if moved is not None:
+        g, img = moved
         return PredicateReport(kind=kind, holds=False, witness={
-            "conjugator": G.elements[int(rows[r])],
-            "image": Subgroup._from_closed(
-                G, tuple(int(v) for v in imgs[r])),
+            "conjugator": G.elements[g],
+            "image": Subgroup._from_closed(G, img),
         })
     return PredicateReport(kind=kind, holds=True, witness=None)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .classify import GroupClassification, classify_group
 from .errors import CapacityError, ValidationError
 from .fusion import (FusionContext, closure_predicate, supersolvable_chain)
-from .groups import Group, Subgroup, structure_flags
+from .groups import Group, Subgroup, prime_divisors, structure_flags
 from .lattice import maximal_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 from .normality import group_predicate
@@ -433,20 +433,6 @@ class SuiteReport:
     seconds: float
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def run_suite(entries, theorem_ids=None, *, limits: Limits = DEFAULT_LIMITS,
               threads: int = 1) -> SuiteReport:
     """Run theorems over (name, Group) pairs, at every prime dividing each order.
@@ -466,7 +452,7 @@ def run_suite(entries, theorem_ids=None, *, limits: Limits = DEFAULT_LIMITS,
         name, G = item
         outcomes: list[VerificationOutcome] = []
         errors: list[dict] = []
-        for p in _prime_divisors(G.order):
+        for p in prime_divisors(G.order):
             try:
                 bundle = ContextBundle(G, p, name=name, limits=limits)
             except CapacityError as exc:
@@ -525,7 +511,7 @@ def branch_fidelity_report(entries, *, limits: Limits = DEFAULT_LIMITS
             flips.append((tid, "two_abelian_maximals",
                           replace(t, two_abelian_maximals=False)))
     for name, G in entries:
-        for p in _prime_divisors(G.order):
+        for p in prime_divisors(G.order):
             bundle = ContextBundle(G, p, name=name, limits=limits)
             for tid, flag, weakened in flips:
                 strict = scan_hypothesis(bundle, REGISTRY[tid].template)

@@ -1,6 +1,6 @@
 import pytest
 
-from fusionsys import FusionContext, load_corpus
+from fusionsys import FusionContext, load_corpus, prime_divisors
 
 
 @pytest.fixture(scope="session")
@@ -14,17 +14,6 @@ def corpus_contexts(corpus):
     """FusionContext for every corpus entry at every prime dividing |G|."""
     out = []
     for name, G in corpus:
-        n = G.order
-        p = 2
-        primes = []
-        while p * p <= n:
-            if n % p == 0:
-                primes.append(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.append(n)
-        for p in primes:
+        for p in prime_divisors(G.order):
             out.append((name, p, FusionContext.build(G, p)))
     return out

@@ -3,13 +3,18 @@
 Everything here works on raw permutation tuples with no help from the
 package's Group/Subgroup machinery, so an agreement between an oracle and
 the engine is evidence, not circularity.  These are deliberately slow and
-only meant for desk-scale groups.
+only meant for desk-scale groups.  The exceptions are ``mul_table_oracle``
+and ``walk_lattice_oracle``: they are the engine's earlier, slower
+constructions, kept to check the faster ones that replaced them.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from fusionsys.errors import CapacityError
+from fusionsys.groups import Subgroup
+from fusionsys.lattice import SubgroupLattice
 from fusionsys.perms import compose, conjugate, identity, inverse
 
 
@@ -241,3 +246,65 @@ def naive_has_strongly_p_embedded(aut_tuples, p):
         if good:
             return True
     return False
+
+
+def walk_lattice_oracle(anchor, members, limits):
+    """Every subgroup of the member set ``members`` of ``anchor``, by joining
+    every pair of subgroups found to a fixed point; the reference for
+    ``lattice._walk_lattice``.  Same result type and cap behaviour."""
+    mul = anchor.mul_rows
+    total = len(members)
+    cap = limits.subgroup_cap
+
+    # seed: distinct cyclic subgroups, each remembering one generator
+    subs: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+    order_list: list[tuple[int, ...]] = [(0,)]
+    for x in members:
+        if x == 0:
+            continue
+        row_x = mul[x]
+        powers = [0]
+        y = x
+        while y != 0:
+            powers.append(y)
+            y = row_x[y]
+        key = tuple(sorted(powers))
+        if key not in subs:
+            subs[key] = (x,)
+            order_list.append(key)
+
+    # pairwise joins to a fixed point
+    full_key = members
+    sets = {k: frozenset(k) for k in order_list}
+    i = 0
+    while i < len(order_list):
+        a = order_list[i]
+        sa = sets[a]
+        for j in range(i):
+            b = order_list[j]
+            sb = sets[b]
+            if sa <= sb or sb <= sa:
+                continue
+            bound = len(a) * len(b) // len(sa & sb)
+            if 2 * bound > total:
+                join = full_key  # a proper divisor of |H| can't exceed |H|/2
+            else:
+                join = tuple(anchor.closure_indices(subs[a] + subs[b]))
+            if join not in subs:
+                if len(subs) >= cap:
+                    raise CapacityError(
+                        f"subgroup walk exceeded the cap of {cap}",
+                        cap_name="subgroup_cap", cap_value=cap,
+                        reached=len(subs) + 1)
+                gens = subs[a] + subs[b]
+                if len(gens) > 4:
+                    gens = Subgroup._from_closed(anchor, join).generating_indices()
+                subs[join] = gens
+                sets[join] = frozenset(join)
+                order_list.append(join)
+        i += 1
+
+    out = sorted(subs, key=lambda k: (len(k), k))
+    return SubgroupLattice(
+        anchor=anchor, within=members,
+        all=tuple(Subgroup._from_closed(anchor, k) for k in out))

@@ -9,9 +9,9 @@ import oracles
 from fusionsys import (CORPUS, CapacityError, EngineError, Group, Limits,
                        Subgroup, ValidationError, alternating, builtin_group,
                        heisenberg, centralizer, conjugate_subgroup, core,
-                       generate_group, normalizer, quotient_group,
-                       structure_flags, subgroup_label, subgroup_product,
-                       sylow_subgroup, symmetric)
+                       generate_group, normalizer, prime_divisors,
+                       quotient_group, structure_flags, subgroup_label,
+                       subgroup_product, sylow_subgroup, symmetric)
 from fusionsys.perms import compose, from_cycles, identity, inverse
 
 
@@ -276,3 +276,10 @@ def test_sylow_exhaustive_fallback_warns_never_fires_on_corpus():
         warnings.simplefilter("error")
         for p in (2, 3):
             sylow_subgroup(S4(), p)
+
+
+def test_prime_divisors():
+    assert prime_divisors(1) == []
+    assert prime_divisors(2) == [2]
+    assert prime_divisors(2520) == [2, 3, 5, 7]
+    assert prime_divisors(2 * 101 ** 2) == [2, 101]

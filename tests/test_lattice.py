@@ -1,15 +1,17 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fusionsys import (CapacityError, Limits, Subgroup, ValidationError,
-                       all_subgroups, alternating, chief_series_below, cyclic,
+from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, Limits,
+                       Subgroup, ValidationError, all_subgroups, alternating,
+                       builtin_group, chief_series_below, cyclic,
                        cyclic_quotient, dicyclic, dihedral, direct_product,
                        elementary_abelian, frobenius21, heisenberg,
                        lies_in_U_hypercenter, maximal_subgroups,
-                       normal_subgroups, psl2, quotient_group,
-                       structure_flags, symmetric)
+                       normal_subgroups, prime_divisors, psl2,
+                       quotient_group, structure_flags, sylow_subgroup,
+                       symmetric)
 from fusionsys.perms import from_cycles
 
 
@@ -89,10 +91,59 @@ def test_maximal_subgroups():
 
 
 def test_subgroup_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as err:
         all_subgroups(symmetric(4),
                       limits=Limits(order_cap=5000, degree_cap=64,
                                     subgroup_cap=5))
+    assert err.value.cap_name == "subgroup_cap"
+    assert err.value.reached == 6
+
+
+def test_subgroup_cap_stops_a_large_walk():
+    # S6 has 1455 subgroups; the walk stops once it has found 1001
+    with pytest.raises(CapacityError) as err:
+        all_subgroups(symmetric(6), limits=DEFAULT_LIMITS.scaled(
+            subgroup_cap=1000))
+    assert err.value.reached == 1001
+
+
+def _oracle_indices(anchor, members):
+    lattice = oracles.walk_lattice_oracle(anchor, members, DEFAULT_LIMITS)
+    return [H.indices for H in lattice.all]
+
+
+def _walk_indices(H):
+    return [K.indices for K in all_subgroups(H).all]
+
+
+@pytest.mark.parametrize("spec", [entry.spec for entry in CORPUS] + [
+    "symmetric(5)",
+    "direct_product(alternating(5), cyclic(2))",
+    "direct_product(alternating(4), alternating(4))",
+    "direct_product(symmetric(4), symmetric(3))",
+])
+def test_walk_matches_pairwise_oracle(spec):
+    G = builtin_group(spec)
+    assert _walk_indices(G) == _oracle_indices(G, tuple(range(G.order)))
+    for p in prime_divisors(G.order):
+        S = sylow_subgroup(G, p)
+        assert _walk_indices(S) == _oracle_indices(G, S.indices)
+
+
+@pytest.fixture(scope="module")
+def s6():
+    return symmetric(6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 719), st.integers(0, 719))
+def test_walk_matches_oracle_on_subgroups_of_s6(s6, i, j):
+    # walked inside S6 (conjugating by H only) and as a group of its own
+    H = Subgroup(s6, s6.closure_indices([i, j]))
+    assume(H.order <= 168)
+    assert _walk_indices(H) == _oracle_indices(s6, H.indices)
+    Hg = H.as_group()
+    assert _walk_indices(Hg) == _oracle_indices(Hg, tuple(range(Hg.order)))
 
 
 def test_chief_series_s4():
