@@ -112,14 +112,13 @@ def has_strongly_p_embedded(A: Group, p: int, *,
         raise ValidationError(f"p must be prime, got {p}")
     if A.order % p:
         return EmbeddingSearch(found=False, witness=None)
-    conj = A.conj_table
     for H in all_subgroups(A, limits=limits).all:
         if H.order == A.order or H.order % p:
             continue
         idx = np.fromiter(H.indices, dtype=np.int64, count=H.order)
         in_H = np.zeros(A.order, dtype=bool)
         in_H[list(H.indices)] = True
-        meets = in_H[conj[:, idx]].sum(axis=1)   # |H^g meet H| for every g
+        meets = in_H[A.conjugates(idx)].sum(axis=1)  # |H^g meet H|, each g
         outside = np.ones(A.order, dtype=bool)
         outside[list(H.indices)] = False
         if (meets[outside] % p != 0).all():

@@ -122,9 +122,9 @@ class FusionContext:
         element index.  Conjugators default to all of G; pass a row selection
         to restrict (e.g. to S).
         """
-        conj = self.G.conj_table
-        M = conj[:, self._idx(P)] if conjugator_rows is None \
-            else conj[np.ix_(conjugator_rows, self._idx(P))]
+        M = self.G.conjugates(self._idx(P))
+        if conjugator_rows is not None:
+            M = M[conjugator_rows]
         ok = target_mask[M].all(axis=1)
         rows = np.flatnonzero(ok)
         keys: list[tuple[int, ...]] = []
@@ -151,7 +151,7 @@ class FusionContext:
     def _normalizer_in_S(self, Q: Subgroup) -> Subgroup:
         s_idx = self._idx(self.S)
         q_idx = self._idx(Q)
-        images = np.sort(self.G.conj_table[np.ix_(s_idx, q_idx)], axis=1)
+        images = np.sort(self.G.conjugates(q_idx)[s_idx], axis=1)
         ok = (images == q_idx[np.newaxis, :]).all(axis=1)
         return Subgroup._from_closed(
             self.G, tuple(int(s_idx[i]) for i in np.flatnonzero(ok)))
@@ -160,7 +160,7 @@ class FusionContext:
         """Whether C_S(Q) <= Q (the centric condition for one class member)."""
         s_idx = self._idx(self.S)
         q_idx = self._idx(Q)
-        fixed = (self.G.conj_table[np.ix_(s_idx, q_idx)]
+        fixed = (self.G.conjugates(q_idx)[s_idx]
                  == q_idx[np.newaxis, :]).all(axis=1)
         return all(int(s_idx[i]) in Q.index_set for i in np.flatnonzero(fixed))
 
@@ -217,7 +217,7 @@ def fusion_class(ctx: FusionContext, P: Subgroup) -> FusionClass:
     got = ctx._class_cache.get(P.indices)
     if got is not None:
         return got
-    M = ctx.G.conj_table[:, ctx._idx(P)]
+    M = ctx.G.conjugates(ctx._idx(P))
     rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
     imgs = np.unique(np.sort(M[rows], axis=1), axis=0)
     members = tuple(Subgroup._from_closed(ctx.G, tuple(int(v) for v in row))
@@ -347,7 +347,7 @@ def _closure_uncached(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureRepo
     els = G.elements
 
     if kind == "strongly_closed":
-        M = G.conj_table[:, ctx._idx(Q)]
+        M = G.conjugates(ctx._idx(Q))
         viol = ctx.S_mask[M] & ~ctx._mask_of(Q)[M]
         bad_rows = np.flatnonzero(viol.any(axis=1))
         if bad_rows.size:
@@ -435,13 +435,12 @@ def _normal_oracle(ctx: FusionContext, Q: Subgroup) -> bool:
     G = ctx.G
     if ctx._normalizer_in_S(Q).order != ctx.S.order:
         return False
-    conj = G.conj_table
     q_idx = ctx._idx(Q)
-    norm_Q = (np.sort(conj[:, q_idx], axis=1) == q_idx[np.newaxis, :]).all(axis=1)
+    norm_Q = (np.sort(G.conjugates(q_idx), axis=1)
+              == q_idx[np.newaxis, :]).all(axis=1)
     mul = G.mul_rows
     for P in ctx.lattice_S.all:
-        p_idx = ctx._idx(P)
-        M = conj[:, p_idx]
+        M = G.conjugates(ctx._idx(P))
         rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
         lists = M[rows].tolist()
         buckets: dict[tuple[int, ...], list[int]] = {}
@@ -451,6 +450,7 @@ def _normal_oracle(ctx: FusionContext, Q: Subgroup) -> bool:
         for a in P.indices:
             row = mul[a]
             pq.update(row[b] for b in Q.indices)
+        pq_conj = G.conjugates(sorted(pq))
         for key, members in buckets.items():
             found = None
             for h in members:
@@ -460,7 +460,7 @@ def _normal_oracle(ctx: FusionContext, Q: Subgroup) -> bool:
             if found is None:
                 return False
             # sanity: the extension really lands inside (image of P) * Q
-            img_pq = {int(conj[found, x]) for x in pq}
+            img_pq = set(pq_conj[found].tolist())
             target = set()
             for a in key:
                 row = mul[a]

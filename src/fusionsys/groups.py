@@ -12,12 +12,20 @@ breadth-first walk of the right Cayley graph over the generators: only the
 generators' rows are looked up permutation by permutation, and every other
 row is one numpy gather of a row already built.  Its Python-list view,
 ``mul_rows``, builds each row on first use, so a query that touches a few
-subgroups of a large group never boxes the whole n*n table.
+subgroups of a large group never boxes the whole n*n table.  Conjugation is
+read through ``Group.conjugates``, which builds the column of a member (its
+conjugates under every element) the first time that member is asked for:
+fusion work inside a Sylow subgroup of a large group builds the columns of
+its members only, never the n*n conjugation table.  Tables of 4 MiB or
+more live in anonymous mappings of their own (``_table_array``), so freeing
+a large group returns its tables to the OS.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -91,7 +99,13 @@ class Group:
                                   "construct groups through generate_group")
         self._mul: np.ndarray | None = None
         self._inv: np.ndarray | None = None
+        # conjugation columns: _conj_block[:, _conj_pos[i]] is the column of
+        # member i; once all n exist the block is in element order (_conj)
         self._conj: np.ndarray | None = None
+        self._conj_block: np.ndarray | None = None
+        self._conj_pos: np.ndarray | None = None
+        self._conj_count = 0
+        self._conj_lock = threading.Lock()
         self._mul_rows: _RowStore | None = None
         self._orders: tuple[int, ...] | None = None
         self._lattice_cache: dict = {}
@@ -150,7 +164,7 @@ class Group:
         except KeyError:
             raise EngineError("the element list is not closed under "
                               "multiplication by the generators") from None
-        table = np.empty((n, n), dtype=self._dtype())
+        table = _table_array((n, n), self._dtype())
         table[0] = np.arange(n)
         reached = [False] * n
         reached[0] = True
@@ -183,23 +197,82 @@ class Group:
 
     @property
     def inv_vector(self) -> np.ndarray:
+        """``inv_vector[i]`` is the index of ``elements[i]^-1``.  Each row of
+        ``mul_table`` is a permutation of 0..n-1, so its least entry, the
+        identity 0, sits at the inverse."""
         if self._inv is None:
-            self._inv = np.argmax(self.mul_table == 0, axis=1).astype(self._dtype())
+            self._inv = np.argmin(self.mul_table, axis=1).astype(self._dtype())
         return self._inv
 
     @property
     def conj_table(self) -> np.ndarray:
         """``conj_table[g, i]`` is the index of ``elements[g]^-1 *
-        elements[i] * elements[g]``."""
+        elements[i] * elements[g]``: ``conjugates(range(n))``, which builds
+        every column.  Library code reads ``conjugates`` instead."""
+        return self.conjugates(range(self.order))
+
+    def conjugates(self, indices) -> np.ndarray:
+        """The (n, k) array whose entry ``[g, c]`` is the index of
+        ``elements[g]^-1 * elements[indices[c]] * elements[g]``.
+
+        The column of a member is built the first time it is asked for, by
+        one gather ``mul[inv[g], mul[i, g]]`` over all g, into a compact
+        block that grows with the members requested.  Once the block has
+        room for all n columns they are all built, put in element order and
+        read directly from then on.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
         if self._conj is None:
-            mul = self.mul_table
-            inv = self.inv_vector
-            n = self.order
-            table = np.empty((n, n), dtype=self._dtype())
-            for g in range(n):
-                table[g] = mul[mul[inv[g]], g]
-            self._conj = table
-        return self._conj
+            with self._conj_lock:  # threads may share one Group
+                if self._conj is None:
+                    cols = self._conj_columns(idx)
+                    if self._conj is None:
+                        return self._conj_block[:, cols]
+        return self._conj[:, idx]
+
+    def _conj_columns(self, idx: np.ndarray) -> np.ndarray:
+        """Block positions of the columns of ``idx``, building those that
+        are missing; the caller holds ``_conj_lock``."""
+        n = self.order
+        if self._conj_pos is None:
+            self._conj_pos = np.full(n, -1, dtype=np.int64)
+            self._conj_block = _table_array((n, min(n, _FIRST_COLUMNS)),
+                                            self._dtype())
+        pos = self._conj_pos
+        cols = pos[idx]
+        if (cols >= 0).all():
+            return cols
+        # a negative index names the same member as in numpy indexing;
+        # np.unique would import numpy.ma
+        missing = np.zeros(n, dtype=bool)
+        missing[idx[cols < 0]] = True
+        start = self._conj_count
+        wanted = start + int(np.count_nonzero(missing))
+        block = self._conj_block
+        if block.shape[1] < wanted:
+            grown = _table_array((n, min(n, 2 * wanted)), self._dtype())
+            grown[:, :start] = block[:, :start]
+            block = self._conj_block = grown
+        if block.shape[1] == n:
+            missing = pos < 0  # room for the whole table: fill all of it
+        need = np.flatnonzero(missing)
+        stop = start + need.size
+        mul = self.mul_table
+        inv = self.inv_vector[np.newaxis, :]
+        # bound the (columns x n) index temporaries of one gather
+        step = max(1, _GATHER_ELEMENTS // n)
+        for s in range(0, need.size, step):
+            part = need[s:s + step]
+            block[:, start + s:start + s + part.size] = mul[inv, mul[part]].T
+        pos[need] = np.arange(start, stop)
+        self._conj_count = stop
+        if stop == n:
+            # column pos[i] holds member i: permute in bounded row slabs
+            for r in range(0, n, step):
+                block[r:r + step] = block[r:r + step][:, pos]
+            self._conj = block
+            self._conj_block = self._conj_pos = None
+        return pos[idx]
 
     @property
     def element_orders(self) -> tuple[int, ...]:
@@ -240,6 +313,44 @@ class Group:
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(members))
+
+
+# elements per gather when conjugation columns are built: the index arrays
+# numpy makes for one gather then stay near 8 MB
+_GATHER_ELEMENTS = 1 << 20
+# width of the first block of conjugation columns: a group of at most this
+# order gets its whole conjugation table on the first request, and a large
+# group's first block stays small (80 KB for A7)
+_FIRST_COLUMNS = 16
+# tables of at least this many bytes (A7's 12 MB, not S6's 1 MB) get an
+# anonymous mapping of their own.  A smaller table can move peak RSS by no
+# more than its size, and a mapping costs fresh zeroed pages on every build
+# where malloc hands back memory the heap already holds
+_OWN_MAPPING_BYTES = 1 << 22
+
+
+def _table_array(shape: tuple[int, int], dtype) -> np.ndarray:
+    """An uninitialised array for a group table.
+
+    One of at least ``_OWN_MAPPING_BYTES`` lives in a private anonymous
+    mapping that is unmapped when the array is freed.  From malloc it would
+    land on the heap once glibc's dynamic mmap threshold has risen past its
+    size; there a freed table stays resident, and whether the next table
+    fits back into its hole depends on what was allocated meanwhile, so the
+    peak RSS of a long-running process would differ by one table (12 MB
+    for A7) from one run to the next.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = shape[0] * shape[1] * dtype.itemsize
+    if nbytes < _OWN_MAPPING_BYTES:
+        return np.empty(shape, dtype=dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux
+        # as numpy asks for large arrays: a table is written in full at
+        # once and then gathered from at random, so huge pages save page
+        # faults and TLB misses; the mapping bounds them, so RSS is the same
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray(shape, dtype=dtype, buffer=buf)
 
 
 class _RowStore(dict):
@@ -488,7 +599,7 @@ def _moved_conjugate_into(G: Group, H: Subgroup, region: np.ndarray
     ``region`` and ``H^g != H``, with the indices of ``H^g``; None if every
     conjugate of H inside ``region`` is H itself."""
     idx = _as_index_array(H)
-    M = G.conj_table[:, idx]
+    M = G.conjugates(idx)
     rows = np.flatnonzero(region[M].all(axis=1))
     imgs = np.sort(M[rows], axis=1)
     moved = np.flatnonzero((imgs != idx[np.newaxis, :]).any(axis=1))
@@ -502,8 +613,7 @@ def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
     """The conjugate ``H^g`` inside the same parent."""
     G = H.parent
     gi = G.index_of(g)
-    row = G.conj_table[gi]
-    img = tuple(sorted(int(row[i]) for i in H.indices))
+    img = tuple(sorted(G.conjugates(H.indices)[gi].tolist()))
     return Subgroup._from_closed(G, img)
 
 
@@ -511,7 +621,7 @@ def normalizer(G: Group, H: Subgroup) -> Subgroup:
     """``N_G(H)``, computed by a vectorized conjugation scan."""
     _check_anchor(G, H)
     idx = _as_index_array(H)
-    images = np.sort(G.conj_table[:, idx], axis=1)
+    images = np.sort(G.conjugates(idx), axis=1)
     ok = (images == idx[np.newaxis, :]).all(axis=1)
     return Subgroup._from_closed(G, tuple(int(i) for i in np.flatnonzero(ok)))
 
@@ -520,7 +630,7 @@ def centralizer(G: Group, H: Subgroup) -> Subgroup:
     """``C_G(H)``: everything that fixes each member of H under conjugation."""
     _check_anchor(G, H)
     idx = _as_index_array(H)
-    ok = (G.conj_table[:, idx] == idx[np.newaxis, :]).all(axis=1)
+    ok = (G.conjugates(idx) == idx[np.newaxis, :]).all(axis=1)
     return Subgroup._from_closed(G, tuple(int(i) for i in np.flatnonzero(ok)))
 
 
@@ -530,7 +640,7 @@ def core(G: Group, H: Subgroup) -> Subgroup:
     idx = _as_index_array(H)
     in_H = _mask(G, H.indices)
     # member k of H survives iff every conjugate of it stays inside H
-    keep = in_H[G.conj_table[:, idx]].all(axis=0)
+    keep = in_H[G.conjugates(idx)].all(axis=0)
     return Subgroup._from_closed(G, tuple(int(i) for i in idx[keep]))
 
 
@@ -629,11 +739,10 @@ def quotient_group(G: Group, N: Subgroup, *,
     projection map is re-checked to be a homomorphism with kernel exactly N.
     """
     _check_anchor(G, N)
-    conj = G.conj_table
     n_idx = _as_index_array(N)
+    conj = G.conjugates(n_idx)
     for g in G.generators:
-        gi = G.index_of(g)
-        img = np.sort(conj[gi, n_idx])
+        img = np.sort(conj[G.index_of(g)])
         if not (img == n_idx).all():
             raise ValidationError(
                 f"subgroup is not normal: conjugation by {cycle_string(g)} "

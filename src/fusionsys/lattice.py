@@ -106,7 +106,7 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
     subgroups are found, also in the middle of an orbit.
     """
     mul = anchor.mul_rows
-    conj = _ConjRows(anchor.conj_table, members)
+    conj = _ConjRows(anchor.conjugates(members), members)
     total = len(members)
     cap = limits.subgroup_cap
 
@@ -164,21 +164,20 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
 
 class _ConjRows(dict):
     """``rows[g][i]`` is the index of ``elements[g]^-1 * elements[i] *
-    elements[g]`` for each walked member i.  Each row is a dict over the
-    members only, built on first use; a full-length list per row would cost
-    a large anchor more than a small walk inside it."""
+    elements[g]`` for each walked member i, read from ``columns``, the
+    conjugation columns of the members.  Each row is a dict over the members
+    only, built on first use; a full-length list per row would cost a large
+    anchor more than a small walk inside it."""
 
-    __slots__ = ("_table", "_members", "_index")
+    __slots__ = ("_columns", "_members")
 
-    def __init__(self, table: np.ndarray, members: tuple[int, ...]):
+    def __init__(self, columns: np.ndarray, members: tuple[int, ...]):
         super().__init__()
-        self._table = table
+        self._columns = columns
         self._members = members
-        self._index = np.array(members, dtype=np.int64)
 
     def __missing__(self, g: int) -> dict[int, int]:
-        row = self[g] = dict(zip(self._members,
-                                 self._table[g][self._index].tolist()))
+        row = self[g] = dict(zip(self._members, self._columns[g].tolist()))
         return row
 
 
@@ -230,21 +229,20 @@ def _add_orbit(found: set, key: tuple[int, ...], rows: list[dict[int, int]],
         frontier = nxt
 
 
-def _is_normal(G: Group, H: Subgroup) -> bool:
-    conj = G.conj_table
+def _is_normal(rows: list[list[int]], H: Subgroup) -> bool:
+    """Whether the conjugation ``rows`` of G's generators keep H inside."""
     hset = H.index_set
-    for g in G.generators:
-        row = conj[G.index_of(g)]
-        if any(int(row[i]) not in hset for i in H.indices):
-            return False
-    return True
+    return all(row[i] in hset for row in rows for i in H.indices)
 
 
 def normal_subgroups(G: Group, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """Normal subgroups of G, sorted by (order, indices)."""
     if not isinstance(G, Group):
         raise ValidationError("normal_subgroups expects a Group")
-    return tuple(H for H in all_subgroups(G, limits=limits).all if _is_normal(G, H))
+    lattice = all_subgroups(G, limits=limits).all
+    gens = [G.index_of(g) for g in G.generators]
+    rows = G.conjugates(range(G.order))[gens].tolist()
+    return tuple(H for H in lattice if _is_normal(rows, H))
 
 
 def maximal_subgroups(H, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:

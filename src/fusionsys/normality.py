@@ -89,7 +89,7 @@ def group_predicate(G: Group, S: Subgroup, H: Subgroup, kind: str, *,
 def _distinct_conjugates(G: Group, H: Subgroup):
     """(image index tuple, least conjugator index) for every G-conjugate of H."""
     idx = np.fromiter(H.indices, dtype=np.int64, count=H.order)
-    M = np.sort(G.conj_table[:, idx], axis=1).tolist()
+    M = np.sort(G.conjugates(idx), axis=1).tolist()
     seen: dict[tuple[int, ...], int] = {}
     for g, row in enumerate(M):
         key = tuple(row)
@@ -104,7 +104,7 @@ def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateR
     Whether a conjugator exists depends only on K, not on which g produced
     it, so conjugates are grouped first.  Each found k is re-verified.
     """
-    conj = G.conj_table
+    conj = G.conjugates(H.indices)
     witnesses: dict[Perm, Perm] = {}
     for key, g in sorted(_distinct_conjugates(G, H).items(), key=lambda kv: kv[1]):
         if key == H.indices:
@@ -114,7 +114,7 @@ def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateR
             + Subgroup._from_closed(G, key).generating_indices())
         found = None
         for k in joint:
-            if tuple(sorted(int(conj[k, i]) for i in H.indices)) == key:
+            if tuple(sorted(conj[k].tolist())) == key:
                 found = k
                 break
         if found is None:
@@ -217,10 +217,9 @@ def sylow_containing(G: Group, K: Subgroup, p: int) -> Subgroup:
         raise ValidationError("K is not a p-subgroup")
     P = sylow_subgroup(G, p)
     k_set = K.index_set
-    conj = G.conj_table
-    p_idx = np.fromiter(P.indices, dtype=np.int64, count=P.order)
+    conj = G.conjugates(P.indices)
     for g in range(G.order):
-        image = {int(v) for v in conj[g, p_idx]}
+        image = set(conj[g].tolist())
         if k_set <= image:
             return Subgroup._from_closed(G, tuple(sorted(image)))
     raise ValidationError("no Sylow subgroup contains K")  # unreachable

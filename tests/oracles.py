@@ -48,6 +48,17 @@ def mul_table_oracle(elements):
     return table
 
 
+def conj_table_oracle(mul, inv):
+    """``C[g, i]``, the index of ``elements[g]^-1 * elements[i] *
+    elements[g]``, one row per element g from the tables ``mul`` and
+    ``inv``; the reference for ``Group.conjugates``."""
+    n = len(inv)
+    table = np.empty((n, n), dtype=np.int64)
+    for g in range(n):
+        table[g] = mul[mul[inv[g]], g]
+    return table
+
+
 def is_subgroup_set(members):
     """Closure test on an explicit set of permutations."""
     members = set(members)

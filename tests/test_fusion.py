@@ -367,8 +367,9 @@ def test_fusion_p_core_unique_largest(corpus_contexts):
 
 
 def test_fusion_queries_build_few_table_rows():
-    # mul_rows builds rows on first use; fusion work on S touches only rows
-    # of S and of closure generators, never the whole n*n list table
+    # mul_rows builds rows, and conjugates builds columns, on first use;
+    # fusion work on S touches only rows of S and of closure generators and
+    # columns of S, never a whole n*n table
     G = alternating(7)
     for p in (2, 3, 5, 7):
         ctx = FusionContext.build(G, p)
@@ -376,3 +377,5 @@ def test_fusion_queries_build_few_table_rows():
         essential_star(ctx)
         supersolvable_chain(ctx)
     assert len(G.mul_rows) <= 0.02 * G.order
+    assert G._conj is None
+    assert G._conj_count <= 0.02 * G.order

@@ -1,3 +1,6 @@
+import mmap
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -102,12 +105,71 @@ def test_tables_match_oracle(build):
     assert np.array_equal(G.mul_table, M)
     inv = np.array([G.index_of(inverse(x)) for x in G.elements])
     assert np.array_equal(G.inv_vector, inv)
-    # conj[g, i] = g^-1 * i * g
+    conj = oracles.conj_table_oracle(M, inv)
     n = G.order
-    conj = M[M[inv[:, None], np.arange(n)[None, :]], np.arange(n)[:, None]]
+    # a negative index names the same member as in numpy indexing
+    assert np.array_equal(G.conjugates([-1, n - 1]), conj[:, [-1, n - 1]])
+    # unsorted requests with repeats and columns already built grow the
+    # block; the last one completes it and the table is read in element order
+    built: list[int] = []
+    for part in np.array_split(np.random.default_rng(n).permutation(n), 3):
+        req = np.concatenate([part, built[:2], part[:1]]).astype(np.int64)
+        assert np.array_equal(G.conjugates(req), conj[:, req])
+        built.extend(part.tolist())
+        assert np.array_equal(G.conjugates(built), conj[:, built])
+    assert G._conj is not None
     assert np.array_equal(G.conj_table, conj)
     for i in (0, n // 2, n - 1):
         assert G.mul_rows[i] == M[i].tolist()
+
+
+def test_large_tables_have_their_own_mapping():
+    # a table of at least 4 MiB must not sit on the malloc heap, where a
+    # freed table stays resident; smaller ones are plain numpy arrays
+    G = alternating(7)  # a 2520 x 2520 int16 table is 12 MB
+    assert isinstance(G.mul_table.base, mmap.mmap)
+    assert G.mul_table.flags.writeable
+    G.conj_table
+    assert isinstance(G._conj.base, mmap.mmap)
+    S = symmetric(6)  # 1 MB
+    S.conj_table
+    assert S.mul_table.base is None
+    assert S._conj.base is None
+
+
+def test_conjugates_threads_share_one_group():
+    # four threads grow, complete and read the conjugation columns of one
+    # Group at once; every result must still match the oracle
+    G = alternating(6)  # order 360: the block grows from 16 columns
+    M = oracles.mul_table_oracle(G.elements)
+    inv = np.array([G.index_of(inverse(x)) for x in G.elements])
+    conj = oracles.conj_table_oracle(M, inv)
+    n = G.order
+    requests = [[rng.permutation(n)[:k] for k in (3, 10, 30, 90, n)]
+                for rng in map(np.random.default_rng, range(4))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            fresh = Group(G.degree, G.generators, G.elements)
+            results: list[tuple] = []
+
+            def work(reqs, group=fresh, out=results):
+                for req in reqs:
+                    out.append((req, group.conjugates(req)))
+
+            threads = [threading.Thread(target=work, args=(reqs,))
+                       for reqs in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 4 * 5
+            for req, got in results:
+                assert np.array_equal(got, conj[:, req])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tables_reject_generators_that_do_not_generate():
