@@ -18,7 +18,7 @@ from .corpus import (CORPUS, CorpusEntry, corpus_group, corpus_names,
 from .errors import (CapacityError, EngineError, PreconditionError,
                      UnsupportedCaseError, ValidationError)
 from .fusion import (CLOSURE_PREDICATES, FUSION_PREDICATES, AutomizerPair,
-                     ClosureReport, FusionClass, FusionContext,
+                     FusionClass, FusionContext, PredicateReport,
                      QuotientSystem, automizer, chain_through,
                      closure_predicate, essential_star, essential_subgroups,
                      fusion_class, fusion_p_core, fusion_predicate,
@@ -35,8 +35,8 @@ from .lattice import (ChiefFactor, HypercenterCheck, SubgroupLattice,
                       lies_in_U_hypercenter, maximal_subgroups,
                       normal_subgroups)
 from .limits import DEFAULT_LIMITS, Limits
-from .normality import (NORMALITY_KINDS, EquivalenceReport, PredicateReport,
-                        equivalence_suite, group_predicate, sylow_containing)
+from .normality import (NORMALITY_KINDS, EquivalenceReport, equivalence_suite,
+                        group_predicate, sylow_containing)
 from .perms import (compose, conjugate, cycle_string, cycles, from_cycles,
                     identity, inverse, perm_order)
 from .report import (analysis_payload, canonical_json, equivalence_payload,

@@ -28,15 +28,14 @@ from .errors import (CapacityError, EngineError, PreconditionError,
                      UnsupportedCaseError, ValidationError)
 from .fusion import (CLOSURE_PREDICATES, FUSION_PREDICATES, FusionContext,
                      closure_predicate, fusion_predicate, is_fusion_normal)
-from .groups import Group, Subgroup, prime_divisors, sylow_subgroup
+from .groups import Group, Subgroup, sylow_subgroup
 from .limits import DEFAULT_LIMITS
 from .normality import NORMALITY_KINDS, equivalence_suite, group_predicate
 from .perms import from_cycles
 from .report import (analysis_payload, canonical_json, equivalence_payload,
                      make_report, render_text, render_value, subgroup_digest,
                      suite_payload, group_digest)
-from .verify import (REGISTRY, REGISTRY_ORDER, ContextBundle, SuiteReport,
-                     check_theorem, run_suite)
+from .verify import REGISTRY, REGISTRY_ORDER, SuiteReport, run_suite
 
 PREDICATE_KINDS = (FUSION_PREDICATES + CLOSURE_PREDICATES + NORMALITY_KINDS
                    + ("fusion_normal",))
@@ -79,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = sub.add_parser("check", help="verify registered theorems")
     p_ch.add_argument("--group")
     p_ch.add_argument("--prime", default="all",
-                      help="a prime, or 'all' for every prime dividing |G|")
+                      help="a prime, or 'all' for every prime dividing each "
+                           "group order")
     p_ch.add_argument("--theorem", default="all",
                       help="a registry id, or 'all'")
     p_ch.add_argument("--corpus", metavar="SOURCE",
@@ -206,43 +206,23 @@ def _cmd_check(args) -> int:
         if tid not in REGISTRY:
             raise ValidationError(
                 f"unknown theorem id {tid!r}; see 'check --list'")
-    t0 = time.perf_counter()
+    if args.prime == "all":
+        primes = None
+    else:
+        try:
+            primes = [int(args.prime)]
+        except ValueError:
+            raise ValidationError(
+                f"--prime must be a prime or 'all', got {args.prime!r}"
+            ) from None
     if args.corpus:
         entries = load_corpus(args.corpus, limits=limits)
-        suite = run_suite(entries, ids, limits=limits,
-                          threads=max(1, args.threads))
     elif args.group:
-        name, G = resolve_group(args.group, limits=limits)
-        if args.prime == "all":
-            primes = prime_divisors(G.order)
-        else:
-            primes = [int(args.prime)]
-        outcomes = []
-        errors = []
-        for p in primes:
-            try:
-                bundle = ContextBundle(G, p, name=name, limits=limits)
-            except CapacityError as exc:
-                errors.append({"group": name, "prime": p, "theorem": "*",
-                               "error": str(exc)})
-                continue
-            for tid in ids:
-                try:
-                    outcomes.append(check_theorem(
-                        tid, G, p, group_name=name, limits=limits,
-                        _bundle=bundle))
-                except CapacityError as exc:
-                    errors.append({"group": name, "prime": p,
-                                   "theorem": tid, "error": str(exc)})
-        totals = {"pass": 0, "vacuous": 0, "COUNTEREXAMPLE": 0,
-                  "error": len(errors)}
-        for o in outcomes:
-            totals[o.verdict] += 1
-        suite = SuiteReport(outcomes=tuple(outcomes), totals=totals,
-                            entry_errors=tuple(errors),
-                            seconds=time.perf_counter() - t0)
+        entries = [resolve_group(args.group, limits=limits)]
     else:
         raise ValidationError("check needs --group or --corpus")
+    suite = run_suite(entries, ids, primes=primes, limits=limits,
+                      threads=max(1, args.threads))
     doc = make_report("suite", suite_payload(suite), limits=limits)
     _emit(doc, args, seconds=suite.seconds)
     return _suite_exit_code(suite)

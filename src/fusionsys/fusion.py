@@ -7,7 +7,8 @@ morphisms P -> Q are the distinct pointwise maps ``x -> x^g`` with g in G and
 
 Everything is computed by vectorized transporter scans over the parent
 group's conjugation table, and every reported witness is the least one in
-the group's lexicographic element order.
+the group's lexicographic element order.  Closure predicates return a
+:class:`PredicateReport`, the verdict type the normality predicates share.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .lattice import SubgroupLattice, all_subgroups, cyclic_quotient
 from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = [
-    "FusionContext", "FusionClass", "AutomizerPair", "ClosureReport",
+    "FusionContext", "FusionClass", "AutomizerPair", "PredicateReport",
     "QuotientSystem", "fusion_class", "morphisms", "automizer",
     "fusion_predicate", "essential_subgroups", "essential_star",
     "closure_predicate", "is_fusion_normal", "fusion_p_core",
@@ -42,9 +43,9 @@ CLOSURE_PREDICATES = ("strongly_closed", "weakly_closed", "semi_invariant")
 class FusionContext:
     """Fusion data for a Sylow p-subgroup S of G.
 
-    Build one with :meth:`FusionContext.build` (which finds S itself) or
-    :meth:`FusionContext.over` for a Sylow subgroup already in hand.  All
-    caches are idempotent value stores, safe to fill from several threads.
+    Build one with :meth:`FusionContext.build`, which finds S itself, or
+    with the constructor for a Sylow subgroup already in hand.  All caches
+    are idempotent value stores, safe to fill from several threads.
     """
 
     def __init__(self, G: Group, S: Subgroup, p: int, *,
@@ -79,11 +80,6 @@ class FusionContext:
     def build(cls, G: Group, p: int, *,
               limits: Limits = DEFAULT_LIMITS) -> "FusionContext":
         return cls(G, sylow_subgroup(G, p), p, limits=limits)
-
-    @classmethod
-    def over(cls, G: Group, S: Subgroup, p: int, *,
-             limits: Limits = DEFAULT_LIMITS) -> "FusionContext":
-        return cls(G, S, p, limits=limits)
 
     @property
     def lattice_S(self) -> SubgroupLattice:
@@ -185,15 +181,22 @@ class AutomizerPair:
 
 
 @dataclass(frozen=True)
-class ClosureReport:
-    """Outcome of a closure predicate, with the least counterwitness if any.
+class PredicateReport:
+    """One predicate verdict with its witness, for the closure predicates
+    here and the generalized-normality predicates of ``normality``.
 
-    Witness fields by kind:
-      strongly_closed: element, conjugator, image (permutations)
-      weakly_closed:   conjugator (permutation), image (Subgroup)
-      semi_invariant:  overgroup (Subgroup), conjugator, image (Subgroup)
-    The conjugator is always the least element of G exhibiting the failure,
-    scanned in lexicographic element order.
+    Witness fields on failure, by kind:
+      strongly_closed:        element, conjugator, image (permutations)
+      weakly_closed, weakly_closed_in_S, weakly_normal:
+                              conjugator (permutation), image (Subgroup)
+      semi_invariant:         overgroup (Subgroup), conjugator, image (Subgroup)
+      pronormal:              conjugator, image (Subgroup)
+      subnormalizer, s_subnormalizer: overgroup, normalizer_order
+      c_supplemented:         None (nothing supplements)
+    A conjugator is always the least element of G exhibiting the failure,
+    scanned in lexicographic element order.  On success the witness is None,
+    except for pronormal (each distinct conjugate mapped to a verified
+    conjugator) and c_supplemented (the supplement found).
     """
 
     kind: str
@@ -219,10 +222,9 @@ def fusion_class(ctx: FusionContext, P: Subgroup) -> FusionClass:
         return got
     M = ctx.G.conjugates(ctx._idx(P))
     rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
-    imgs = np.unique(np.sort(M[rows], axis=1), axis=0)
-    members = tuple(Subgroup._from_closed(ctx.G, tuple(int(v) for v in row))
-                    for row in imgs)
-    # np.unique sorts rows, so members[0] is the least index tuple: every
+    imgs = sorted(set(map(tuple, np.sort(M[rows], axis=1).tolist())))
+    members = tuple(Subgroup._from_closed(ctx.G, img) for img in imgs)
+    # imgs is sorted, so members[0] is the least index tuple: every
     # subgroup of the class yields the same canonical representative.
     out = FusionClass(representative=members[0], members=members)
     ctx._class_cache[P.indices] = out
@@ -323,7 +325,8 @@ def essential_star(ctx: FusionContext) -> tuple[Subgroup, ...]:
 
 # -- closure predicates -----------------------------------------------------------
 
-def closure_predicate(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureReport:
+def closure_predicate(ctx: FusionContext, Q: Subgroup,
+                      kind: str) -> PredicateReport:
     """Evaluate strongly_closed / weakly_closed / semi_invariant on Q <= S.
 
     The returned witness (on failure) is the least one: conjugators are
@@ -342,7 +345,22 @@ def closure_predicate(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureRepo
     return value
 
 
-def _closure_uncached(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureReport:
+def _closed_into(G: Group, H: Subgroup, mask: np.ndarray,
+                 kind: str) -> PredicateReport:
+    """Every conjugate of H inside the boolean ``mask`` must be H itself;
+    on failure the witness is the least conjugator and its image."""
+    moved = _moved_conjugate_into(G, H, mask)
+    if moved is None:
+        return PredicateReport(kind=kind, holds=True, witness=None)
+    g, img = moved
+    return PredicateReport(kind=kind, holds=False, witness={
+        "conjugator": G.elements[g],
+        "image": Subgroup._from_closed(G, img),
+    })
+
+
+def _closure_uncached(ctx: FusionContext, Q: Subgroup,
+                      kind: str) -> PredicateReport:
     G = ctx.G
     els = G.elements
 
@@ -353,22 +371,15 @@ def _closure_uncached(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureRepo
         if bad_rows.size:
             g = int(bad_rows[0])
             col = int(np.flatnonzero(viol[g])[0])
-            return ClosureReport(kind=kind, holds=False, witness={
+            return PredicateReport(kind=kind, holds=False, witness={
                 "element": els[Q.indices[col]],
                 "conjugator": els[g],
                 "image": els[int(M[g, col])],
             })
-        return ClosureReport(kind=kind, holds=True, witness=None)
+        return PredicateReport(kind=kind, holds=True, witness=None)
 
     if kind == "weakly_closed":
-        moved = _moved_conjugate_into(G, Q, ctx.S_mask)
-        if moved is not None:
-            g, img = moved
-            return ClosureReport(kind=kind, holds=False, witness={
-                "conjugator": els[g],
-                "image": Subgroup._from_closed(G, img),
-            })
-        return ClosureReport(kind=kind, holds=True, witness=None)
+        return _closed_into(G, Q, ctx.S_mask, kind)
 
     # semi_invariant: Q must be sent to itself by every morphism of every
     # overgroup K with Q <= K <= S
@@ -379,38 +390,30 @@ def _closure_uncached(ctx: FusionContext, Q: Subgroup, kind: str) -> ClosureRepo
         for g, key in pairs:
             img = tuple(sorted(key[pos[i]] for i in Q.indices))
             if img != Q.indices:
-                return ClosureReport(kind=kind, holds=False, witness={
+                return PredicateReport(kind=kind, holds=False, witness={
                     "overgroup": K,
                     "conjugator": els[g],
                     "image": Subgroup._from_closed(G, img),
                 })
-    return ClosureReport(kind=kind, holds=True, witness=None)
+    return PredicateReport(kind=kind, holds=True, witness=None)
 
 
 # -- normality in the fusion system ------------------------------------------------
 
-def is_fusion_normal(ctx: FusionContext, Q: Subgroup,
-                     method: str = "criterion") -> bool:
+def is_fusion_normal(ctx: FusionContext, Q: Subgroup) -> bool:
     """Whether Q is normal in the whole fusion system.
 
-    method="criterion": Q is normal in S, strongly closed, contained in every
-    member of the Alperin family and invariant under all of its morphisms.
-
-    method="oracle": the extension property from the definition, checked
-    morphism by morphism — every map P -> S induced by some g must also be
-    induced by an h (same coset of C_G(P)) that normalizes Q.  Both methods
-    agree on every context; the oracle exists to keep the criterion honest.
+    Decided by the criterion: Q is normal in S, strongly closed, contained
+    in every member of the Alperin family and invariant under all of its
+    morphisms.  ``tests/oracles.py`` keeps the extension property from the
+    definition, checked morphism by morphism, as the reference.
     """
-    if method not in ("criterion", "oracle"):
-        raise ValidationError(f"unknown method {method!r}")
     ctx.check_object(Q)
-    cache_key = (method, Q.indices)
-    got = ctx._normal_cache.get(cache_key)
+    got = ctx._normal_cache.get(Q.indices)
     if got is not None:
         return got
-    value = (_normal_criterion(ctx, Q) if method == "criterion"
-             else _normal_oracle(ctx, Q))
-    ctx._normal_cache[cache_key] = value
+    value = _normal_criterion(ctx, Q)
+    ctx._normal_cache[Q.indices] = value
     return value
 
 
@@ -428,46 +431,6 @@ def _normal_criterion(ctx: FusionContext, Q: Subgroup) -> bool:
         for key in keys:
             if frozenset(key[c] for c in cols) != Q.index_set:
                 return False
-    return True
-
-
-def _normal_oracle(ctx: FusionContext, Q: Subgroup) -> bool:
-    G = ctx.G
-    if ctx._normalizer_in_S(Q).order != ctx.S.order:
-        return False
-    q_idx = ctx._idx(Q)
-    norm_Q = (np.sort(G.conjugates(q_idx), axis=1)
-              == q_idx[np.newaxis, :]).all(axis=1)
-    mul = G.mul_rows
-    for P in ctx.lattice_S.all:
-        M = G.conjugates(ctx._idx(P))
-        rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
-        lists = M[rows].tolist()
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for pos, r in enumerate(rows.tolist()):
-            buckets.setdefault(tuple(lists[pos]), []).append(r)
-        pq = set()
-        for a in P.indices:
-            row = mul[a]
-            pq.update(row[b] for b in Q.indices)
-        pq_conj = G.conjugates(sorted(pq))
-        for key, members in buckets.items():
-            found = None
-            for h in members:
-                if norm_Q[h]:
-                    found = h
-                    break
-            if found is None:
-                return False
-            # sanity: the extension really lands inside (image of P) * Q
-            img_pq = set(pq_conj[found].tolist())
-            target = set()
-            for a in key:
-                row = mul[a]
-                target.update(row[b] for b in Q.indices)
-            if not img_pq <= target:
-                raise EngineError("extension landed outside the target "
-                                  "product; conjugation bookkeeping is wrong")
     return True
 
 

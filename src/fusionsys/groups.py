@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import mmap
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -666,12 +665,13 @@ def _check_anchor(G: Group, H: Subgroup) -> None:
 
 # -- Sylow subgroups -----------------------------------------------------------
 
-def sylow_subgroup(G: Group, p: int, *, _offset: int = 0) -> Subgroup:
+def sylow_subgroup(G: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup, found by normalizer climbing.
 
-    Deterministic: at each step the least eligible p-element is adjoined.
-    ``_offset`` rotates that choice and exists so tests can reach different
-    conjugates; all return values for the same group are conjugate.
+    Deterministic: at each step the least p-element of N_G(current) outside
+    current is adjoined.  It normalizes current, so the join is a p-group
+    larger by a factor of at least p; while current is not Sylow, a Sylow
+    subgroup P above it has N_P(current) > current, so a candidate exists.
     If p does not divide the order, the trivial subgroup is returned.
     """
     if not is_prime(p):
@@ -679,54 +679,19 @@ def sylow_subgroup(G: Group, p: int, *, _offset: int = 0) -> Subgroup:
     target = p_part(G.order, p)
     orders = G.element_orders
     current = G.trivial_subgroup()
-    steps = 0
     while current.order < target:
-        steps += 1
-        if steps > 2 * len(bin(target)):
-            return _sylow_exhaustive(G, p, target)
         N = normalizer(G, current)
-        candidates = [i for i in N.indices
-                      if i not in current.index_set
-                      and orders[i] != 1 and p_part(orders[i], p) == orders[i]]
-        if not candidates:
-            return _sylow_exhaustive(G, p, target)
-        pick = candidates[_offset % len(candidates)] if current.order == 1 \
-            else candidates[0]
+        pick = next((i for i in N.indices
+                     if i not in current.index_set
+                     and orders[i] != 1 and p_part(orders[i], p) == orders[i]),
+                    None)
+        if pick is None:
+            raise EngineError(
+                f"no {p}-element of N_G(current) extends a {p}-subgroup of "
+                f"order {current.order} below the Sylow order {target}")
         grown = G.closure_indices(list(current.indices) + [pick])
         current = Subgroup._from_closed(G, grown)
     return current
-
-
-def _sylow_exhaustive(G: Group, p: int, target: int) -> Subgroup:
-    """Fallback: breadth-first growth through all p-subgroups (tiny groups only)."""
-    warnings.warn(
-        f"sylow_subgroup fell back to exhaustive search for a group of order "
-        f"{G.order} at p={p}", RuntimeWarning, stacklevel=3)
-    orders = G.element_orders
-    p_elts = [i for i in range(G.order)
-              if orders[i] != 1 and p_part(orders[i], p) == orders[i]]
-    seen = {(0,)}
-    layer = [(0,)]
-    best = (0,)
-    while layer:
-        nxt = []
-        for sub in layer:
-            if len(sub) == target:
-                return Subgroup._from_closed(G, sub)
-            member_set = set(sub)
-            for x in p_elts:
-                if x in member_set:
-                    continue
-                grown = G.closure_indices(list(sub) + [x])
-                if p_part(len(grown), p) != len(grown):
-                    continue
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-                    if len(grown) > len(best):
-                        best = grown
-        layer = nxt
-    return Subgroup._from_closed(G, best)
 
 
 # -- quotients -----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Generalized normality predicates for subgroups of a Sylow subgroup.
 
 All predicates take the triple (G, S, H) with H <= S <= G and S a Sylow
-p-subgroup, and return a report carrying a verified witness: a conjugator
-for the positive pronormality cases, and the least offending subgroup or
+p-subgroup, and return the package's one verdict type,
+``fusion.PredicateReport``, carrying a verified witness: a conjugator for
+the positive pronormality cases, and the least offending subgroup or
 conjugator for failures.
 
 The predicate kinds:
@@ -16,8 +17,9 @@ The predicate kinds:
 
 ``equivalence_suite`` evaluates the pronormal family and the fusion-side
 semi-invariance across every subgroup of S and asserts the equivalences that
-hold in this Sylow setting; the classical subnormalizer condition is only
-*recorded* against the S-bounded one, never asserted equal.
+hold in this Sylow setting, raising ``EngineError`` at the first one that
+breaks; the classical subnormalizer condition is only *recorded* against
+the S-bounded one, never asserted equal.
 """
 
 from __future__ import annotations
@@ -27,15 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EngineError, ValidationError
-from .fusion import FusionContext, closure_predicate
-from .groups import (Group, Subgroup, _moved_conjugate_into, core, is_prime,
-                     normalizer, p_part, sylow_subgroup)
+from .fusion import (FusionContext, PredicateReport, _closed_into,
+                     closure_predicate)
+from .groups import (Group, Subgroup, _mask, core, is_prime, normalizer,
+                     p_part, sylow_subgroup)
 from .lattice import all_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
 
 __all__ = [
-    "NORMALITY_KINDS", "PredicateReport", "group_predicate",
+    "NORMALITY_KINDS", "group_predicate",
     "EquivalenceReport", "equivalence_suite", "sylow_containing",
 ]
 
@@ -43,21 +46,6 @@ NORMALITY_KINDS = (
     "pronormal", "weakly_normal", "weakly_closed_in_S",
     "subnormalizer", "s_subnormalizer", "c_supplemented",
 )
-
-
-@dataclass(frozen=True)
-class PredicateReport:
-    """One predicate verdict with its witness.
-
-    For ``holds=True`` pronormal reports the witness maps each distinct
-    conjugate to a verified conjugator; for failures the witness names the
-    least offending object (conjugator, subgroup K, or None when nothing
-    supplements).
-    """
-
-    kind: str
-    holds: bool
-    witness: dict | None
 
 
 def _check_triple(G: Group, S: Subgroup, H: Subgroup) -> None:
@@ -130,27 +118,12 @@ def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateR
 def _weakly_normal(G: Group, S: Subgroup, H: Subgroup,
                    limits: Limits) -> PredicateReport:
     N = normalizer(G, H)
-    return _closed_into(G, H, N.index_set, "weakly_normal")
+    return _closed_into(G, H, _mask(G, N.indices), "weakly_normal")
 
 
 def _weakly_closed_in_S(G: Group, S: Subgroup, H: Subgroup,
                         limits: Limits) -> PredicateReport:
-    return _closed_into(G, H, S.index_set, "weakly_closed_in_S")
-
-
-def _closed_into(G: Group, H: Subgroup, region: frozenset,
-                 kind: str) -> PredicateReport:
-    """Shared scan: every conjugate landing inside ``region`` must equal H."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[list(region)] = True
-    moved = _moved_conjugate_into(G, H, mask)
-    if moved is not None:
-        g, img = moved
-        return PredicateReport(kind=kind, holds=False, witness={
-            "conjugator": G.elements[g],
-            "image": Subgroup._from_closed(G, img),
-        })
-    return PredicateReport(kind=kind, holds=True, witness=None)
+    return _closed_into(G, H, _mask(G, S.indices), "weakly_closed_in_S")
 
 
 def _subnormalizer(G: Group, S: Subgroup, H: Subgroup,
@@ -233,8 +206,6 @@ class EquivalenceReport:
     """Predicate table over all H <= S, with the asserted equivalences.
 
     rows: one dict per subgroup with every predicate verdict.
-    violations: equivalences that failed (always empty when construction
-        succeeds; populated only if assertions are disabled via raw access).
     subnormalizer_agreement: fraction of subgroups where the classical
         subnormalizer condition matched the S-bounded one (recorded, not
         asserted).
@@ -244,7 +215,6 @@ class EquivalenceReport:
     prime: int
     sylow_order: int
     rows: tuple[dict, ...]
-    violations: tuple[dict, ...]
     subnormalizer_agreement: float
 
 
@@ -254,9 +224,9 @@ def equivalence_suite(G: Group, S: Subgroup, *,
 
     Asserts, for each subgroup: pronormal == weakly_normal ==
     weakly_closed_in_S; s_subnormalizer == semi_invariant; and
-    weakly_closed_in_S implies s_subnormalizer.  A violation raises
-    ValidationError naming the subgroup, since it would mean the engine
-    broke a theorem.
+    weakly_closed_in_S implies s_subnormalizer.  The first violation raises
+    EngineError naming the subgroup order and the equivalence, since it
+    would mean the engine broke a theorem.
     """
     _check_triple(G, S, S)
     if S.order == 1:
@@ -265,7 +235,6 @@ def equivalence_suite(G: Group, S: Subgroup, *,
         p = min(q for q in range(2, S.order + 1) if S.order % q == 0)
     ctx = FusionContext(G, S, p, limits=limits)
     rows = []
-    violations = []
     agree = 0
     subs = all_subgroups(S, limits=limits).all
     for H in subs:
@@ -277,21 +246,19 @@ def equivalence_suite(G: Group, S: Subgroup, *,
         rows.append(row)
         if not (verdicts["pronormal"] == verdicts["weakly_normal"]
                 == verdicts["weakly_closed_in_S"]):
-            violations.append({"equivalence": "pronormal family", **row})
-        if verdicts["s_subnormalizer"] != verdicts["semi_invariant"]:
-            violations.append({"equivalence": "s_subnormalizer vs "
-                                              "semi_invariant", **row})
-        if verdicts["weakly_closed_in_S"] and not verdicts["s_subnormalizer"]:
-            violations.append({"equivalence": "weakly closed implies "
-                                              "s_subnormalizer", **row})
+            broken = "pronormal family"
+        elif verdicts["s_subnormalizer"] != verdicts["semi_invariant"]:
+            broken = "s_subnormalizer vs semi_invariant"
+        elif verdicts["weakly_closed_in_S"] and not verdicts["s_subnormalizer"]:
+            broken = "weakly closed implies s_subnormalizer"
+        else:
+            broken = None
+        if broken is not None:
+            raise EngineError(
+                f"normality equivalence broke on a subgroup of order "
+                f"{H.order}: {broken}")
         if verdicts["subnormalizer"] == verdicts["s_subnormalizer"]:
             agree += 1
-    if violations:
-        first = violations[0]
-        raise EngineError(
-            f"normality equivalence broke on a subgroup of order "
-            f"{first['order']}: {first['equivalence']}")
     return EquivalenceReport(
         group_order=G.order, prime=p, sylow_order=S.order,
-        rows=tuple(rows), violations=tuple(violations),
-        subnormalizer_agreement=agree / len(subs))
+        rows=tuple(rows), subnormalizer_agreement=agree / len(subs))

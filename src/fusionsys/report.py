@@ -196,7 +196,6 @@ def equivalence_payload(rep) -> dict:
         "prime": rep.prime,
         "sylow_order": rep.sylow_order,
         "rows": rows,
-        "violations": [render_value(v) for v in rep.violations],
         "subnormalizer_agreement": rep.subnormalizer_agreement,
     }
 
@@ -309,6 +308,4 @@ def _equivalence_lines(p: dict) -> list[str]:
         lines.append(f"  order {row['order']:>4} <{gens}>: {flat}")
     lines.append(f"subnormalizer agreement: "
                  f"{p['subnormalizer_agreement']:.2f}")
-    if p["violations"]:
-        lines.append(f"violations: {len(p['violations'])}")
     return lines

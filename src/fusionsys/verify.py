@@ -392,10 +392,9 @@ def check_theorem(theorem_id: str, G: Group, p: int, *, group_name: str = "",
     start = time.perf_counter()
     bundle = _bundle if _bundle is not None else ContextBundle(
         G, p, name=group_name, limits=limits)
-    notes: list[str] = []
     if G.order % p:
-        notes.append(f"p={p} does not divide |G|={G.order}")
-        scan = HypothesisScan(False, (), tuple(notes))
+        scan = HypothesisScan(False, (),
+                              (f"p={p} does not divide |G|={G.order}",))
     else:
         scan = scan_hypothesis(bundle, entry.template)
     concl = _conclusion_holds(bundle, entry.conclusion)
@@ -410,7 +409,7 @@ def check_theorem(theorem_id: str, G: Group, p: int, *, group_name: str = "",
         group_name=group_name or bundle.name,
         group_order=G.order, prime=p,
         hypothesis_holds=scan.holds, witness_orders=scan.witness_orders,
-        notes=tuple(notes) + scan.notes,
+        notes=scan.notes,
         conclusion=entry.conclusion, conclusion_holds=concl,
         verdict=verdict, seconds=time.perf_counter() - start)
 
@@ -433,9 +432,11 @@ class SuiteReport:
     seconds: float
 
 
-def run_suite(entries, theorem_ids=None, *, limits: Limits = DEFAULT_LIMITS,
-              threads: int = 1) -> SuiteReport:
-    """Run theorems over (name, Group) pairs, at every prime dividing each order.
+def run_suite(entries, theorem_ids=None, *, primes=None,
+              limits: Limits = DEFAULT_LIMITS, threads: int = 1) -> SuiteReport:
+    """Run theorems over (name, Group) pairs, at every prime dividing each
+    order, or at each of ``primes`` when given (a prime that does not divide
+    an order gives vacuous rows that say so).
 
     Outcomes are ordered by entry, then prime, then registry order,
     regardless of thread count.  Capacity failures are quarantined into
@@ -452,7 +453,7 @@ def run_suite(entries, theorem_ids=None, *, limits: Limits = DEFAULT_LIMITS,
         name, G = item
         outcomes: list[VerificationOutcome] = []
         errors: list[dict] = []
-        for p in prime_divisors(G.order):
+        for p in prime_divisors(G.order) if primes is None else primes:
             try:
                 bundle = ContextBundle(G, p, name=name, limits=limits)
             except CapacityError as exc:

@@ -3,16 +3,17 @@
 Everything here works on raw permutation tuples with no help from the
 package's Group/Subgroup machinery, so an agreement between an oracle and
 the engine is evidence, not circularity.  These are deliberately slow and
-only meant for desk-scale groups.  The exceptions are ``mul_table_oracle``
-and ``walk_lattice_oracle``: they are the engine's earlier, slower
-constructions, kept to check the faster ones that replaced them.
+only meant for desk-scale groups.  The exceptions are ``mul_table_oracle``,
+``conj_table_oracle``, ``walk_lattice_oracle`` and ``fusion_normal_oracle``:
+they are the engine's earlier, slower constructions, kept to check the
+faster ones that replaced them.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from fusionsys.errors import CapacityError
+from fusionsys.errors import CapacityError, EngineError
 from fusionsys.groups import Subgroup
 from fusionsys.lattice import SubgroupLattice
 from fusionsys.perms import compose, conjugate, identity, inverse
@@ -319,3 +320,47 @@ def walk_lattice_oracle(anchor, members, limits):
     return SubgroupLattice(
         anchor=anchor, within=members,
         all=tuple(Subgroup._from_closed(anchor, k) for k in out))
+
+
+def fusion_normal_oracle(ctx, Q):
+    """Whether Q is normal in the fusion system of ``ctx``, by the extension
+    property from the definition, checked morphism by morphism: every map
+    P -> S induced by some g must also be induced by an h (same coset of
+    C_G(P)) that normalizes Q.  The reference for ``is_fusion_normal``."""
+    G = ctx.G
+    if ctx._normalizer_in_S(Q).order != ctx.S.order:
+        return False
+    q_idx = ctx._idx(Q)
+    norm_Q = (np.sort(G.conjugates(q_idx), axis=1)
+              == q_idx[np.newaxis, :]).all(axis=1)
+    mul = G.mul_rows
+    for P in ctx.lattice_S.all:
+        M = G.conjugates(ctx._idx(P))
+        rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
+        lists = M[rows].tolist()
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for pos, r in enumerate(rows.tolist()):
+            buckets.setdefault(tuple(lists[pos]), []).append(r)
+        pq = set()
+        for a in P.indices:
+            row = mul[a]
+            pq.update(row[b] for b in Q.indices)
+        pq_conj = G.conjugates(sorted(pq))
+        for key, members in buckets.items():
+            found = None
+            for h in members:
+                if norm_Q[h]:
+                    found = h
+                    break
+            if found is None:
+                return False
+            # sanity: the extension really lands inside (image of P) * Q
+            img_pq = set(pq_conj[found].tolist())
+            target = set()
+            for a in key:
+                row = mul[a]
+                target.update(row[b] for b in Q.indices)
+            if not img_pq <= target:
+                raise EngineError("extension landed outside the target "
+                                  "product; conjugation bookkeeping is wrong")
+    return True

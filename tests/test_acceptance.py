@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import oracles
 from fusionsys import (FusionContext, Subgroup, all_subgroups, alternating,
                        centralizer, chain_through, classify_group,
                        closure_predicate, dihedral, essential_star,
@@ -255,8 +256,8 @@ def test_criterion_09_fusion_normality_criterion_vs_oracle(
         if ctx.G.order > 200:
             continue
         for Q in all_subgroups(ctx.S).all:
-            lhs = is_fusion_normal(ctx, Q, method="criterion")
-            rhs = is_fusion_normal(ctx, Q, method="oracle")
+            lhs = is_fusion_normal(ctx, Q)
+            rhs = oracles.fusion_normal_oracle(ctx, Q)
             assert lhs == rhs, (name, p, Q.order)
             compared += 1
     announce(capsys, 9,

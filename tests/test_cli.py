@@ -73,6 +73,21 @@ def test_check_all_primes(capsys):
     assert doc["payload"]["totals"]["COUNTEREXAMPLE"] == 0
 
 
+def test_check_corpus_at_one_prime(capsys):
+    code, out, _ = run_cli(capsys, "check", "--corpus", "builtin",
+                           "--prime", "3", "--json")
+    assert code == 0
+    rows = json.loads(out)["payload"]["rows"]
+    assert rows and {row["prime"] for row in rows} == {3}
+
+
+def test_check_prime_not_a_number_exit_two(capsys):
+    code, _, err = run_cli(capsys, "check", "--group", "S4",
+                           "--prime", "two")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_check_list(capsys):
     code, out, _ = run_cli(capsys, "check", "--list")
     assert code == 0

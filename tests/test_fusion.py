@@ -234,12 +234,9 @@ def test_semi_invariant_witness_is_valid(s4_ctx):
 def test_fusion_normal_criterion_vs_oracle(corpus_contexts):
     for name, p, ctx in corpus_contexts:
         for H in ctx.lattice_S.all:
-            a = is_fusion_normal(ctx, H, method="criterion")
-            b = is_fusion_normal(ctx, H, method="oracle")
+            a = is_fusion_normal(ctx, H)
+            b = oracles.fusion_normal_oracle(ctx, H)
             assert a == b, (name, p, H.indices)
-    with pytest.raises(ValidationError):
-        is_fusion_normal(corpus_contexts[0][2],
-                         corpus_contexts[0][2].S, method="bogus")
 
 
 def test_fusion_p_core_values(s4_ctx, psl_ctx):

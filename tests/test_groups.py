@@ -1,7 +1,6 @@
 import mmap
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from fusionsys import (CORPUS, CapacityError, EngineError, Group, Limits,
-                       Subgroup, ValidationError, alternating, builtin_group,
-                       heisenberg, centralizer, conjugate_subgroup, core,
-                       generate_group, normalizer, prime_divisors,
-                       quotient_group, structure_flags, subgroup_label,
-                       subgroup_product, sylow_subgroup, symmetric)
+                       Subgroup, ValidationError, all_subgroups, alternating,
+                       builtin_group, heisenberg, centralizer,
+                       conjugate_subgroup, core, generate_group, normalizer,
+                       prime_divisors, quotient_group, structure_flags,
+                       subgroup_label, subgroup_product, sylow_subgroup,
+                       symmetric)
 from fusionsys.perms import compose, from_cycles, identity, inverse
 
 
@@ -237,12 +237,12 @@ def test_sylow_subgroup_orders():
     assert sylow_subgroup(G, 5).order == 1
 
 
-def test_sylow_restarts_give_conjugates():
+def test_sylow_subgroups_are_conjugate():
     G = S4()
     base = sylow_subgroup(G, 2)
-    for offset in (1, 2, 3):
-        other = sylow_subgroup(G, 2, _offset=offset)
-        assert other.order == 8
+    sylows = all_subgroups(G).of_order(8)
+    assert len(sylows) == 3 and base in sylows
+    for other in sylows:
         assert any(conjugate_subgroup(base, g) == other for g in G.elements)
 
 
@@ -330,14 +330,6 @@ def test_lagrange_for_every_generated_subgroup():
         for j in range(0, 24, 7):
             H = Subgroup(G, G.closure_indices([i, j]))
             assert G.order % H.order == 0
-
-
-def test_sylow_exhaustive_fallback_warns_never_fires_on_corpus():
-    # the climbing construction should succeed without the fallback warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for p in (2, 3):
-            sylow_subgroup(S4(), p)
 
 
 def test_prime_divisors():
