@@ -4,9 +4,9 @@ Generalized normality inside a Sylow subgroup
 
 """
 
-from fusionsys import (NORMALITY_KINDS, Subgroup, equivalence_suite,
-                       from_cycles, group_predicate, sylow_subgroup,
-                       symmetric)
+from fusionsys import (NORMALITY_KINDS, FusionContext, Subgroup,
+                       equivalence_suite, from_cycles, group_predicate,
+                       sylow_subgroup, symmetric)
 
 G = symmetric(4)
 S = sylow_subgroup(G, 2)
@@ -50,6 +50,6 @@ print("s-subnormalizer witness: overgroup of order",
 # the suite runs every subgroup of S and records how the predicates align;
 # pronormal, weakly normal and weakly closed always agree, and semi-invariant
 # always matches the s-subnormalizer condition (a disagreement would raise)
-report = equivalence_suite(G, S)
+report = equivalence_suite(FusionContext(G, S, 2))
 print("\nsubgroups of S:", len(report.rows))
 print("subnormalizer agreement:", report.subnormalizer_agreement)

@@ -42,9 +42,9 @@ from .perms import (compose, conjugate, cycle_string, cycles, from_cycles,
 from .report import (analysis_payload, canonical_json, equivalence_payload,
                      make_report, read_report, render_text, suite_payload,
                      write_report)
-from .verify import (CASE_SHAPES, REGISTRY, REGISTRY_ORDER, ContextBundle,
-                     HypothesisTemplate, SuiteReport, TheoremEntry,
-                     VerificationOutcome, branch_fidelity_report,
-                     check_theorem, run_suite, scan_hypothesis)
+from .verify import (CASE_SHAPES, REGISTRY, REGISTRY_ORDER, HypothesisTemplate,
+                     SuiteReport, TheoremEntry, VerificationOutcome,
+                     branch_fidelity_report, check_theorem, run_suite,
+                     scan_hypothesis)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .errors import (CapacityError, EngineError, PreconditionError,
                      UnsupportedCaseError, ValidationError)
 from .fusion import (CLOSURE_PREDICATES, FUSION_PREDICATES, FusionContext,
                      closure_predicate, fusion_predicate, is_fusion_normal)
-from .groups import Group, Subgroup, sylow_subgroup
+from .groups import Group, Subgroup
 from .limits import DEFAULT_LIMITS
 from .normality import NORMALITY_KINDS, equivalence_suite, group_predicate
 from .perms import from_cycles
@@ -46,9 +46,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
                         help="largest group order the engine will accept")
     parser.add_argument("--subgroup-cap", type=int, default=None,
                         help="largest subgroup count per lattice walk")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; the engine is deterministic and "
-                             "ignores it")
     parser.add_argument("--json", action="store_true",
                         help="print the canonical JSON report instead of text")
     parser.add_argument("--out", metavar="PATH",
@@ -232,8 +229,7 @@ def _cmd_equivalences(args) -> int:
     limits = _limits_from(args)
     t0 = time.perf_counter()
     name, G = resolve_group(args.group, limits=limits)
-    S = sylow_subgroup(G, args.prime)
-    rep = equivalence_suite(G, S, limits=limits)
+    rep = equivalence_suite(FusionContext.build(G, args.prime, limits=limits))
     payload = equivalence_payload(rep)
     payload["group"] = group_digest(name, G)
     doc = make_report("equivalences", payload, limits=limits)

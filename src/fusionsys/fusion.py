@@ -20,7 +20,7 @@ import numpy as np
 from .classify import has_strongly_p_embedded
 from .errors import (EngineError, PreconditionError, UnsupportedCaseError,
                      ValidationError)
-from .groups import (Group, GroupMap, Subgroup, _moved_conjugate_into,
+from .groups import (Group, GroupMap, Subgroup, _Memo, _moved_conjugate_into,
                      centralizer, core, is_prime, normalizer, p_part,
                      quotient_group, subgroup_product, sylow_subgroup)
 from .lattice import SubgroupLattice, all_subgroups, cyclic_quotient
@@ -40,12 +40,16 @@ FUSION_PREDICATES = ("fully_normalized", "centric", "radical", "essential")
 CLOSURE_PREDICATES = ("strongly_closed", "weakly_closed", "semi_invariant")
 
 
-class FusionContext:
+class FusionContext(_Memo):
     """Fusion data for a Sylow p-subgroup S of G.
 
     Build one with :meth:`FusionContext.build`, which finds S itself, or
-    with the constructor for a Sylow subgroup already in hand.  All caches
-    are idempotent value stores, safe to fill from several threads.
+    with the constructor for a Sylow subgroup already in hand.  Every
+    answer about the system (lattice of S, fusion classes, automizers,
+    predicates, the supersolvable chain, and the group classification and
+    structure flags the theorem checks read) is kept in the context's one
+    memo store, ``memo(key, compute)``.  It is an idempotent value store,
+    safe to fill from several threads.
     """
 
     def __init__(self, G: Group, S: Subgroup, p: int, *,
@@ -60,21 +64,13 @@ class FusionContext:
             raise ValidationError(
                 f"S has order {S.order}, but a Sylow {p}-subgroup of a group "
                 f"of order {G.order} has order {p_part(G.order, p)}")
+        super().__init__()
         self.G = G
         self.S = S
         self.p = p
         self.limits = limits
         self.S_mask = np.zeros(G.order, dtype=bool)
         self.S_mask[list(S.indices)] = True
-        self._lattice: SubgroupLattice | None = None
-        self._aut_keys_cache: dict = {}
-        self._class_cache: dict = {}
-        self._pred_cache: dict = {}
-        self._closure_cache: dict = {}
-        self._normal_cache: dict = {}
-        self._automizer_cache: dict = {}
-        self._essential: tuple | None = None
-        self._chain: tuple | None | str = "unset"
 
     @classmethod
     def build(cls, G: Group, p: int, *,
@@ -83,9 +79,8 @@ class FusionContext:
 
     @property
     def lattice_S(self) -> SubgroupLattice:
-        if self._lattice is None:
-            self._lattice = all_subgroups(self.S, limits=self.limits)
-        return self._lattice
+        return self.memo(("lattice_S",), lambda: all_subgroups(
+            self.S, limits=self.limits))
 
     def check_object(self, P: Subgroup) -> None:
         if P.parent is not self.G:
@@ -137,12 +132,10 @@ class FusionContext:
         return keys, gs
 
     def _aut_keys(self, K: Subgroup):
-        """Cached distinct automorphism assignments of K with least inducers."""
-        got = self._aut_keys_cache.get(K.indices)
-        if got is None:
-            got = self._maps_into(K, self._mask_of(K))
-            self._aut_keys_cache[K.indices] = got
-        return got
+        """Memoized distinct automorphism assignments of K with least
+        inducers."""
+        return self.memo(("aut_keys", K.indices),
+                         lambda: self._maps_into(K, self._mask_of(K)))
 
     def _normalizer_in_S(self, Q: Subgroup) -> Subgroup:
         s_idx = self._idx(self.S)
@@ -217,18 +210,16 @@ class QuotientSystem:
 def fusion_class(ctx: FusionContext, P: Subgroup) -> FusionClass:
     """All G-conjugates of P contained in S, sorted by index tuple."""
     ctx.check_object(P)
-    got = ctx._class_cache.get(P.indices)
-    if got is not None:
-        return got
-    M = ctx.G.conjugates(ctx._idx(P))
-    rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
-    imgs = sorted(set(map(tuple, np.sort(M[rows], axis=1).tolist())))
-    members = tuple(Subgroup._from_closed(ctx.G, img) for img in imgs)
-    # imgs is sorted, so members[0] is the least index tuple: every
-    # subgroup of the class yields the same canonical representative.
-    out = FusionClass(representative=members[0], members=members)
-    ctx._class_cache[P.indices] = out
-    return out
+
+    def compute() -> FusionClass:
+        M = ctx.G.conjugates(ctx._idx(P))
+        rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
+        imgs = sorted(set(map(tuple, np.sort(M[rows], axis=1).tolist())))
+        members = tuple(Subgroup._from_closed(ctx.G, img) for img in imgs)
+        # imgs is sorted, so members[0] is the least index tuple: every
+        # subgroup of the class yields the same canonical representative.
+        return FusionClass(representative=members[0], members=members)
+    return ctx.memo(("fusion_class", P.indices), compute)
 
 
 def morphisms(ctx: FusionContext, P: Subgroup, Q: Subgroup) -> tuple[GroupMap, ...]:
@@ -253,9 +244,10 @@ def morphisms(ctx: FusionContext, P: Subgroup, Q: Subgroup) -> tuple[GroupMap, .
 def automizer(ctx: FusionContext, P: Subgroup) -> AutomizerPair:
     """Aut and Out of P in the fusion system, as explicit quotient groups."""
     ctx.check_object(P)
-    got = ctx._automizer_cache.get(P.indices)
-    if got is not None:
-        return got
+    return ctx.memo(("automizer", P.indices), lambda: _automizer(ctx, P))
+
+
+def _automizer(ctx: FusionContext, P: Subgroup) -> AutomizerPair:
     G = ctx.G
     N = normalizer(G, P)
     C = centralizer(G, P)
@@ -269,9 +261,7 @@ def automizer(ctx: FusionContext, P: Subgroup) -> AutomizerPair:
     wide = ctx.limits.scaled(degree_cap=max(ctx.limits.degree_cap, N.order))
     aut, _ = quotient_group(Ng, rebase(C), limits=wide)
     out, _ = quotient_group(Ng, rebase(PC), limits=wide)
-    pair = AutomizerPair(aut=aut, out=out)
-    ctx._automizer_cache[P.indices] = pair
-    return pair
+    return AutomizerPair(aut=aut, out=out)
 
 
 # -- predicates ------------------------------------------------------------------
@@ -282,39 +272,34 @@ def fusion_predicate(ctx: FusionContext, P: Subgroup, kind: str) -> bool:
         raise ValidationError(
             f"unknown fusion predicate {kind!r}; known: {FUSION_PREDICATES}")
     ctx.check_object(P)
-    cache_key = (kind, P.indices)
-    got = ctx._pred_cache.get(cache_key)
-    if got is not None:
-        return got
+    return ctx.memo(("fusion_predicate", kind, P.indices),
+                    lambda: _fusion_predicate(ctx, P, kind))
 
+
+def _fusion_predicate(ctx: FusionContext, P: Subgroup, kind: str) -> bool:
     if kind == "fully_normalized":
         mine = ctx._normalizer_in_S(P).order
-        value = all(ctx._normalizer_in_S(Q).order <= mine
-                    for Q in fusion_class(ctx, P).members)
-    elif kind == "centric":
-        value = all(ctx._centralizer_in_S_inside(Q)
-                    for Q in fusion_class(ctx, P).members)
-    elif kind == "radical":
+        return all(ctx._normalizer_in_S(Q).order <= mine
+                   for Q in fusion_class(ctx, P).members)
+    if kind == "centric":
+        return all(ctx._centralizer_in_S_inside(Q)
+                   for Q in fusion_class(ctx, P).members)
+    if kind == "radical":
         out = automizer(ctx, P).out
-        op = core(out, sylow_subgroup(out, ctx.p))
-        value = op.order == 1
-    else:  # essential
-        value = (P.order < ctx.S.order
-                 and fusion_predicate(ctx, P, "centric")
-                 and fusion_predicate(ctx, P, "fully_normalized")
-                 and has_strongly_p_embedded(
-                     automizer(ctx, P).out, ctx.p, limits=ctx.limits).found)
-    ctx._pred_cache[cache_key] = value
-    return value
+        return core(out, sylow_subgroup(out, ctx.p)).order == 1
+    # essential
+    return (P.order < ctx.S.order
+            and fusion_predicate(ctx, P, "centric")
+            and fusion_predicate(ctx, P, "fully_normalized")
+            and has_strongly_p_embedded(
+                automizer(ctx, P).out, ctx.p, limits=ctx.limits).found)
 
 
 def essential_subgroups(ctx: FusionContext) -> tuple[Subgroup, ...]:
     """The essential subgroups, sorted by (order, indices)."""
-    if ctx._essential is None:
-        ctx._essential = tuple(
-            P for P in ctx.lattice_S.all
-            if fusion_predicate(ctx, P, "essential"))
-    return ctx._essential
+    return ctx.memo(("essential",), lambda: tuple(
+        P for P in ctx.lattice_S.all
+        if fusion_predicate(ctx, P, "essential")))
 
 
 def essential_star(ctx: FusionContext) -> tuple[Subgroup, ...]:
@@ -336,13 +321,8 @@ def closure_predicate(ctx: FusionContext, Q: Subgroup,
         raise ValidationError(
             f"unknown closure predicate {kind!r}; known: {CLOSURE_PREDICATES}")
     ctx.check_object(Q)
-    cache_key = (kind, Q.indices)
-    got = ctx._closure_cache.get(cache_key)
-    if got is not None:
-        return got
-    value = _closure_uncached(ctx, Q, kind)
-    ctx._closure_cache[cache_key] = value
-    return value
+    return ctx.memo(("closure_predicate", kind, Q.indices),
+                    lambda: _closure_predicate(ctx, Q, kind))
 
 
 def _closed_into(G: Group, H: Subgroup, mask: np.ndarray,
@@ -359,8 +339,8 @@ def _closed_into(G: Group, H: Subgroup, mask: np.ndarray,
     })
 
 
-def _closure_uncached(ctx: FusionContext, Q: Subgroup,
-                      kind: str) -> PredicateReport:
+def _closure_predicate(ctx: FusionContext, Q: Subgroup,
+                       kind: str) -> PredicateReport:
     G = ctx.G
     els = G.elements
 
@@ -409,12 +389,8 @@ def is_fusion_normal(ctx: FusionContext, Q: Subgroup) -> bool:
     definition, checked morphism by morphism, as the reference.
     """
     ctx.check_object(Q)
-    got = ctx._normal_cache.get(Q.indices)
-    if got is not None:
-        return got
-    value = _normal_criterion(ctx, Q)
-    ctx._normal_cache[Q.indices] = value
-    return value
+    return ctx.memo(("fusion_normal", Q.indices),
+                    lambda: _normal_criterion(ctx, Q))
 
 
 def _normal_criterion(ctx: FusionContext, Q: Subgroup) -> bool:
@@ -504,13 +480,12 @@ def supersolvable_chain(ctx: FusionContext):
     the same chain is returned every run.  Each link of a returned chain is
     re-verified before it is handed back.
     """
-    if ctx._chain != "unset":
-        return ctx._chain
-    chain = _chain_search(ctx, ctx.G.trivial_subgroup(), None)
-    if chain is not None:
-        _verify_chain(ctx, chain)
-    ctx._chain = chain
-    return chain
+    def search():
+        chain = _chain_search(ctx, ctx.G.trivial_subgroup(), None)
+        if chain is not None:
+            _verify_chain(ctx, chain)
+        return chain
+    return ctx.memo(("supersolvable_chain",), search)
 
 
 def chain_through(ctx: FusionContext, Q: Subgroup):

@@ -19,6 +19,9 @@ fusion work inside a Sylow subgroup of a large group builds the columns of
 its members only, never the n*n conjugation table.  Tables of 4 MiB or
 more live in anonymous mappings of their own (``_table_array``), so freeing
 a large group returns its tables to the OS.
+
+Every other answer about a group (its subgroup lattices, normalizers) is
+kept in the group's one memo store, ``Group.memo``.
 """
 
 from __future__ import annotations
@@ -78,7 +81,28 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
-class Group:
+_MISSING = object()
+
+
+class _Memo:
+    """An object with one memo store, a dict filled through ``memo(key,
+    compute)``.  Keys are tuples that start with the kind of answer.  A
+    value is a function of its key and the object alone, so threads that
+    fill one key at once compute equal values and the last write wins: the
+    store needs no lock."""
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def memo(self, key: tuple, compute):
+        """The value stored under ``key``, from ``compute()`` on first use."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
+
+
+class Group(_Memo):
     """A finite permutation group on ``{0, ..., degree-1}``.
 
     Construct through :func:`generate_group` (or the catalog); the constructor
@@ -88,6 +112,7 @@ class Group:
 
     def __init__(self, degree: int, generators: tuple[Perm, ...],
                  elements: tuple[Perm, ...]):
+        super().__init__()
         self.degree = degree
         self.generators = generators
         self.elements = elements
@@ -107,7 +132,6 @@ class Group:
         self._conj_lock = threading.Lock()
         self._mul_rows: _RowStore | None = None
         self._orders: tuple[int, ...] | None = None
-        self._lattice_cache: dict = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -617,12 +641,17 @@ def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
-    """``N_G(H)``, computed by a vectorized conjugation scan."""
+    """``N_G(H)``, computed by a vectorized conjugation scan and memoized
+    on G."""
     _check_anchor(G, H)
-    idx = _as_index_array(H)
-    images = np.sort(G.conjugates(idx), axis=1)
-    ok = (images == idx[np.newaxis, :]).all(axis=1)
-    return Subgroup._from_closed(G, tuple(int(i) for i in np.flatnonzero(ok)))
+
+    def scan() -> Subgroup:
+        idx = _as_index_array(H)
+        images = np.sort(G.conjugates(idx), axis=1)
+        ok = (images == idx[np.newaxis, :]).all(axis=1)
+        return Subgroup._from_closed(
+            G, tuple(int(i) for i in np.flatnonzero(ok)))
+    return G.memo(("normalizer", H.indices), scan)
 
 
 def centralizer(G: Group, H: Subgroup) -> Subgroup:

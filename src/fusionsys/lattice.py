@@ -7,8 +7,8 @@ order, so the walk joins one representative of each conjugacy class found
 with those cyclic subgroups only, and adds every new join together with its
 whole orbit under conjugation by the walked group, read off the
 conjugation-table rows of that group's generators.  Results are sorted by
-(order, index tuple) and cached on the anchor group, keyed by the member set
-walked.
+(order, index tuple) and memoized on the anchor group, keyed by the member
+set walked.
 """
 
 from __future__ import annotations
@@ -59,27 +59,48 @@ def all_subgroups(H, *, limits: Limits = DEFAULT_LIMITS) -> SubgroupLattice:
     """Every subgroup of H (a Group or Subgroup), as subgroups of the anchor.
 
     Raises CapacityError when more than ``limits.subgroup_cap`` subgroups
-    would be emitted.
+    would be emitted.  A walk that passes the cap is remembered with that
+    cap: the walk is deterministic, so a later call with a cap no larger
+    raises the same error without walking, and a larger cap walks again.
     """
     anchor, members = _anchor_and_members(H)
-    cached = anchor._lattice_cache.get(members)
-    if cached is None:
-        if isinstance(H, Group):
-            gens = tuple(H.index_of(g) for g in H.generators)
-        else:
-            gens = H.generating_indices()
-        cached = _walk_lattice(anchor, members, gens, limits)
-        anchor._lattice_cache[members] = cached
-    if len(cached.all) > limits.subgroup_cap:
+    cap = limits.subgroup_cap
+    key = ("lattice", members)
+    lattice = anchor.memo(key, lambda: _walk_within(H, anchor, members, cap))
+    if isinstance(lattice, int) and cap > lattice:
+        # a walk under a smaller cap passed it: this cap walks again
+        lattice = anchor._memo[key] = _walk_within(H, anchor, members, cap)
+    if isinstance(lattice, int):
+        raise _walk_overflow(cap)
+    if len(lattice.all) > cap:
         raise CapacityError(
-            f"lattice holds {len(cached.all)} subgroups, over the cap of "
-            f"{limits.subgroup_cap}", cap_name="subgroup_cap",
-            cap_value=limits.subgroup_cap, reached=len(cached.all))
-    return cached
+            f"lattice holds {len(lattice.all)} subgroups, over the cap of "
+            f"{cap}", cap_name="subgroup_cap", cap_value=cap,
+            reached=len(lattice.all))
+    return lattice
+
+
+def _walk_within(H, anchor: Group, members: tuple[int, ...], cap: int):
+    """The lattice of H, or ``cap`` when the walk passes it."""
+    if isinstance(H, Group):
+        gens = tuple(H.index_of(g) for g in H.generators)
+    else:
+        gens = H.generating_indices()
+    try:
+        return _walk_lattice(anchor, members, gens, cap)
+    except CapacityError:
+        return cap
+
+
+def _walk_overflow(cap: int) -> CapacityError:
+    # the walk stops as it would add subgroup cap + 1
+    return CapacityError(f"subgroup walk exceeded the cap of {cap}",
+                         cap_name="subgroup_cap", cap_value=cap,
+                         reached=cap + 1)
 
 
 def _walk_lattice(anchor: Group, members: tuple[int, ...],
-                  gens: tuple[int, ...], limits: Limits) -> SubgroupLattice:
+                  gens: tuple[int, ...], cap: int) -> SubgroupLattice:
     """The subgroups of H = <gens>, whose members are ``members``, by cyclic
     extension up to conjugacy in H (Neubüser 1960; Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 3).
@@ -102,13 +123,12 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
     joined.  The found set only ever grows by whole orbits, so K, which lies
     in the orbit of that join, is found.
 
-    Raises CapacityError as soon as more than ``limits.subgroup_cap``
-    subgroups are found, also in the middle of an orbit.
+    Raises CapacityError as soon as more than ``cap`` subgroups are found,
+    also in the middle of an orbit.
     """
     mul = anchor.mul_rows
     conj = _ConjRows(anchor.conjugates(members), members)
     total = len(members)
-    cap = limits.subgroup_cap
 
     # distinct cyclic subgroups of prime-power order, each with one
     # generator; cyclic_of[x] numbers the cyclic subgroup x generates
@@ -210,10 +230,7 @@ def _add_orbit(found: set, key: tuple[int, ...], rows: list[dict[int, int]],
 
     def add(K: tuple[int, ...]) -> None:
         if len(found) >= cap:
-            raise CapacityError(
-                f"subgroup walk exceeded the cap of {cap}",
-                cap_name="subgroup_cap", cap_value=cap,
-                reached=len(found) + 1)
+            raise _walk_overflow(cap)
         found.add(K)
 
     add(key)

@@ -218,9 +218,9 @@ class EquivalenceReport:
     subnormalizer_agreement: float
 
 
-def equivalence_suite(G: Group, S: Subgroup, *,
-                      limits: Limits = DEFAULT_LIMITS) -> EquivalenceReport:
-    """Evaluate the whole predicate family over every H <= S.
+def equivalence_suite(ctx: FusionContext) -> EquivalenceReport:
+    """Evaluate the whole predicate family over every H <= S, for the
+    Sylow subgroup S of the context at its prime.
 
     Asserts, for each subgroup: pronormal == weakly_normal ==
     weakly_closed_in_S; s_subnormalizer == semi_invariant; and
@@ -228,15 +228,10 @@ def equivalence_suite(G: Group, S: Subgroup, *,
     EngineError naming the subgroup order and the equivalence, since it
     would mean the engine broke a theorem.
     """
-    _check_triple(G, S, S)
-    if S.order == 1:
-        p = 2
-    else:
-        p = min(q for q in range(2, S.order + 1) if S.order % q == 0)
-    ctx = FusionContext(G, S, p, limits=limits)
+    G, S, limits = ctx.G, ctx.S, ctx.limits
     rows = []
     agree = 0
-    subs = all_subgroups(S, limits=limits).all
+    subs = ctx.lattice_S.all
     for H in subs:
         verdicts = {kind: group_predicate(G, S, H, kind, limits=limits).holds
                     for kind in NORMALITY_KINDS}
@@ -260,5 +255,5 @@ def equivalence_suite(G: Group, S: Subgroup, *,
         if verdicts["subnormalizer"] == verdicts["s_subnormalizer"]:
             agree += 1
     return EquivalenceReport(
-        group_order=G.order, prime=p, sylow_order=S.order,
+        group_order=G.order, prime=ctx.p, sylow_order=S.order,
         rows=tuple(rows), subnormalizer_agreement=agree / len(subs))

@@ -27,17 +27,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .classify import GroupClassification, classify_group
+from .classify import classify_group
 from .errors import CapacityError, ValidationError
 from .fusion import (FusionContext, closure_predicate, supersolvable_chain)
-from .groups import Group, Subgroup, prime_divisors, structure_flags
+from .groups import (Group, StructureFlags, Subgroup, prime_divisors,
+                     structure_flags)
 from .lattice import maximal_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 from .normality import group_predicate
 
 __all__ = [
     "BranchRule", "HypothesisTemplate", "TheoremEntry", "REGISTRY",
-    "CASE_SHAPES", "ContextBundle", "HypothesisScan", "scan_hypothesis",
+    "CASE_SHAPES", "HypothesisScan", "scan_hypothesis",
     "VerificationOutcome", "check_theorem", "SuiteReport", "run_suite",
     "branch_fidelity_report",
 ]
@@ -218,59 +219,21 @@ _register(TheoremEntry(
 REGISTRY_ORDER = tuple(REGISTRY)
 
 
-# -- evaluation use one bundle per (G, p) ------------------------------------------
+# -- evaluation: memo keys on the FusionContext of one (G, p) ---------------------
 
-class ContextBundle:
-    """Shared evaluation state for one (G, p): context, memoized predicates."""
+def _flags(ctx: FusionContext, H: Subgroup) -> StructureFlags:
+    return ctx.memo(("structure_flags", H.indices),
+                    lambda: structure_flags(H))
 
-    def __init__(self, G: Group, p: int, *, name: str = "",
-                 limits: Limits = DEFAULT_LIMITS):
-        self.G = G
-        self.p = p
-        self.name = name or f"group of order {G.order}"
-        self.limits = limits
-        self.ctx = FusionContext.build(G, p, limits=limits)
-        self._classification: GroupClassification | None = None
-        self._pred: dict = {}
-        self._flags: dict = {}
-        self._maximals: tuple[Subgroup, ...] | None = None
 
-    @property
-    def classification(self) -> GroupClassification:
-        if self._classification is None:
-            self._classification = classify_group(self.G, self.p,
-                                                  limits=self.limits)
-        return self._classification
-
-    def flags(self, H: Subgroup):
-        got = self._flags.get(H.indices)
-        if got is None:
-            got = structure_flags(H)
-            self._flags[H.indices] = got
-        return got
-
-    def predicate(self, kind: str, H: Subgroup) -> bool:
-        key = (kind, H.indices)
-        got = self._pred.get(key)
-        if got is None:
-            if kind == "semi_invariant":
-                got = closure_predicate(self.ctx, H, "semi_invariant").holds
-            else:
-                got = group_predicate(self.G, self.ctx.S, H, kind,
-                                      limits=self.limits).holds
-            self._pred[key] = got
-        return got
-
-    def of_order(self, n: int) -> tuple[Subgroup, ...]:
-        return self.ctx.lattice_S.of_order(n)
-
-    def cyclic_of_order(self, n: int) -> tuple[Subgroup, ...]:
-        return tuple(H for H in self.of_order(n) if self.flags(H).cyclic)
-
-    def maximals(self) -> tuple[Subgroup, ...]:
-        if self._maximals is None:
-            self._maximals = maximal_subgroups(self.ctx.S, limits=self.limits)
-        return self._maximals
+def _holds(ctx: FusionContext, kind: str, H: Subgroup) -> bool:
+    """Whether H satisfies the hypothesis predicate ``kind``."""
+    def evaluate() -> bool:
+        if kind == "semi_invariant":
+            return closure_predicate(ctx, H, kind).holds
+        return group_predicate(ctx.G, ctx.S, H, kind,
+                               limits=ctx.limits).holds
+    return ctx.memo(("hypothesis_predicate", kind, H.indices), evaluate)
 
 
 @dataclass(frozen=True)
@@ -280,79 +243,83 @@ class HypothesisScan:
     notes: tuple[str, ...] = ()
 
 
-def scan_hypothesis(bundle: ContextBundle, template: HypothesisTemplate
+def scan_hypothesis(ctx: FusionContext, template: HypothesisTemplate
                     ) -> HypothesisScan:
-    """Evaluate a hypothesis template against one (G, p)."""
-    p = bundle.p
-    S_flags = bundle.flags(bundle.ctx.S)
+    """Evaluate a hypothesis template against the fusion system of one
+    (G, p)."""
+    p = ctx.p
+    S = ctx.S
+    S_flags = _flags(ctx, S)
     notes: list[str] = []
     if template.odd_only and p == 2:
         return HypothesisScan(False, (), ("stated for odd primes only",))
-    if template.coprime and math.gcd(p - 1, bundle.G.order) != 1:
+    if template.coprime and math.gcd(p - 1, ctx.G.order) != 1:
         return HypothesisScan(
             False, (), (f"gcd(p-1, |G|) = "
-                        f"{math.gcd(p - 1, bundle.G.order)} != 1",))
+                        f"{math.gcd(p - 1, ctx.G.order)} != 1",))
 
     if template.pattern == "maximal_subgroups":
-        if bundle.ctx.S.order == 1:
+        if S.order == 1:
             return HypothesisScan(False, (), ("S is trivial",))
-        targets = bundle.maximals()
-        ok = all(bundle.predicate(template.kind, M) for M in targets)
+        targets = ctx.memo(("maximal_subgroups",), lambda: maximal_subgroups(
+            S, limits=ctx.limits))
+        ok = all(_holds(ctx, template.kind, M) for M in targets)
         if ok and template.two_abelian_maximals and not S_flags.cyclic:
-            abelian = sum(1 for M in targets if bundle.flags(M).abelian)
+            abelian = sum(1 for M in targets if _flags(ctx, M).abelian)
             if abelian < 2:
                 ok = False
                 notes.append(f"S is not cyclic and only {abelian} maximal "
                              "subgroup(s) are abelian")
-        return HypothesisScan(ok, (bundle.ctx.S.order // p,) if ok else (),
+        return HypothesisScan(ok, (S.order // p,) if ok else (),
                               tuple(notes))
 
     if template.pattern == "order_p_only":
-        candidates = [p] if p <= bundle.ctx.S.order else []
+        candidates = [p] if p <= S.order else []
     elif template.pattern == "exists_D_strict":
         candidates = []
         d = p
-        while d * p <= bundle.ctx.S.order:
+        while d * p <= S.order:
             candidates.append(d)
             d *= p
     elif template.pattern == "exists_D_weak":
         candidates = [1]
         d = p
-        while d * p <= bundle.ctx.S.order:
+        while d * p <= S.order:
             candidates.append(d)
             d *= p
     else:
         raise ValidationError(f"unknown order pattern {template.pattern!r}")
 
-    passing = [d for d in candidates if _order_clause(bundle, template, d)]
+    passing = [d for d in candidates if _order_clause(ctx, template, d)]
     if not passing and not candidates:
         notes.append("no eligible witness order |D| for this Sylow subgroup")
     return HypothesisScan(bool(passing), tuple(passing), tuple(notes))
 
 
-def _order_clause(bundle: ContextBundle, template: HypothesisTemplate,
+def _order_clause(ctx: FusionContext, template: HypothesisTemplate,
                   d: int) -> bool:
     """All clauses of the template at one fixed witness order |D| = d."""
-    p = bundle.p
-    groups_d = bundle.of_order(d)
-    groups_pd = bundle.of_order(p * d)
+    p = ctx.p
+    lattice = ctx.lattice_S
+    groups_d = lattice.of_order(d)
+    groups_pd = lattice.of_order(p * d)
     if "D" in template.abelian_orders:
-        if not all(bundle.flags(H).abelian for H in groups_d):
+        if not all(_flags(ctx, H).abelian for H in groups_d):
             return False
     if "pD" in template.abelian_orders:
-        if not all(bundle.flags(H).abelian for H in groups_pd):
+        if not all(_flags(ctx, H).abelian for H in groups_pd):
             return False
     if "D" in template.predicate_orders:
-        if not all(bundle.predicate(template.kind, H) for H in groups_d):
+        if not all(_holds(ctx, template.kind, H) for H in groups_d):
             return False
     if "pD" in template.predicate_orders:
-        if not all(bundle.predicate(template.kind, H) for H in groups_pd):
+        if not all(_holds(ctx, template.kind, H) for H in groups_pd):
             return False
     br = template.branch
-    if br is not None and _GUARDS[br.guard](p, d, bundle.flags(bundle.ctx.S)):
+    if br is not None and _GUARDS[br.guard](p, d, _flags(ctx, ctx.S)):
         size = 4 if br.clause == "cyclic4" else 2 * d
-        for H in bundle.cyclic_of_order(size):
-            if not bundle.predicate(template.kind, H):
+        for H in lattice.of_order(size):
+            if _flags(ctx, H).cyclic and not _holds(ctx, template.kind, H):
                 return False
     return True
 
@@ -376,28 +343,33 @@ class VerificationOutcome:
 
 
 def check_theorem(theorem_id: str, G: Group, p: int, *, group_name: str = "",
-                  limits: Limits = DEFAULT_LIMITS,
-                  _bundle: ContextBundle | None = None) -> VerificationOutcome:
+                  limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """Check one registered theorem on one group at one prime.
 
     The hypothesis is scanned, the conclusion is always evaluated, and the
     verdict is pass / vacuous / COUNTEREXAMPLE.  Capacity errors propagate;
     run_suite is the layer that quarantines them.
     """
-    entry = REGISTRY.get(theorem_id)
-    if entry is None:
+    if theorem_id not in REGISTRY:
         raise ValidationError(
             f"unknown theorem id {theorem_id!r}; known: "
             + ", ".join(REGISTRY_ORDER))
+    return _check(theorem_id, FusionContext.build(G, p, limits=limits),
+                  group_name)
+
+
+def _check(theorem_id: str, ctx: FusionContext,
+           group_name: str) -> VerificationOutcome:
+    """One registered theorem on the fusion system ``ctx``."""
     start = time.perf_counter()
-    bundle = _bundle if _bundle is not None else ContextBundle(
-        G, p, name=group_name, limits=limits)
+    entry = REGISTRY[theorem_id]
+    G, p = ctx.G, ctx.p
     if G.order % p:
         scan = HypothesisScan(False, (),
                               (f"p={p} does not divide |G|={G.order}",))
     else:
-        scan = scan_hypothesis(bundle, entry.template)
-    concl = _conclusion_holds(bundle, entry.conclusion)
+        scan = scan_hypothesis(ctx, entry.template)
+    concl = _conclusion_holds(ctx, entry.conclusion)
     if scan.holds and concl:
         verdict = "pass"
     elif not scan.holds:
@@ -406,7 +378,7 @@ def check_theorem(theorem_id: str, G: Group, p: int, *, group_name: str = "",
         verdict = "COUNTEREXAMPLE"
     return VerificationOutcome(
         theorem_id=theorem_id,
-        group_name=group_name or bundle.name,
+        group_name=group_name or f"group of order {G.order}",
         group_order=G.order, prime=p,
         hypothesis_holds=scan.holds, witness_orders=scan.witness_orders,
         notes=scan.notes,
@@ -414,11 +386,12 @@ def check_theorem(theorem_id: str, G: Group, p: int, *, group_name: str = "",
         verdict=verdict, seconds=time.perf_counter() - start)
 
 
-def _conclusion_holds(bundle: ContextBundle, conclusion: str) -> bool:
+def _conclusion_holds(ctx: FusionContext, conclusion: str) -> bool:
     if conclusion == "supersolvable":
-        return supersolvable_chain(bundle.ctx) is not None
+        return supersolvable_chain(ctx) is not None
     if conclusion == "p_nilpotent":
-        return bundle.classification.p_nilpotent
+        return ctx.memo(("classification",), lambda: classify_group(
+            ctx.G, ctx.p, limits=ctx.limits)).p_nilpotent
     raise ValidationError(f"unknown conclusion {conclusion!r}")
 
 
@@ -455,16 +428,14 @@ def run_suite(entries, theorem_ids=None, *, primes=None,
         errors: list[dict] = []
         for p in prime_divisors(G.order) if primes is None else primes:
             try:
-                bundle = ContextBundle(G, p, name=name, limits=limits)
+                ctx = FusionContext.build(G, p, limits=limits)
             except CapacityError as exc:
                 errors.append({"group": name, "prime": p, "theorem": "*",
                                "error": str(exc)})
                 continue
             for tid in ids:
                 try:
-                    outcomes.append(check_theorem(
-                        tid, G, p, group_name=name, limits=limits,
-                        _bundle=bundle))
+                    outcomes.append(_check(tid, ctx, name))
                 except CapacityError as exc:
                     errors.append({"group": name, "prime": p, "theorem": tid,
                                    "error": str(exc)})
@@ -513,10 +484,10 @@ def branch_fidelity_report(entries, *, limits: Limits = DEFAULT_LIMITS
                           replace(t, two_abelian_maximals=False)))
     for name, G in entries:
         for p in prime_divisors(G.order):
-            bundle = ContextBundle(G, p, name=name, limits=limits)
+            ctx = FusionContext.build(G, p, limits=limits)
             for tid, flag, weakened in flips:
-                strict = scan_hypothesis(bundle, REGISTRY[tid].template)
-                weak = scan_hypothesis(bundle, weakened)
+                strict = scan_hypothesis(ctx, REGISTRY[tid].template)
+                weak = scan_hypothesis(ctx, weakened)
                 rows.append({
                     "theorem": tid, "flag": flag, "group": name, "prime": p,
                     "strict_holds": strict.holds,

@@ -104,6 +104,24 @@ def test_equivalences(capsys):
     assert len(doc["payload"]["rows"]) == 10
 
 
+def test_equivalences_at_a_prime_not_dividing_the_order(capsys):
+    # the context is built at --prime: 5 does not divide |S4|, so S is trivial
+    code, out, err = run_cli(capsys, "equivalences", "--group", "S4",
+                             "--prime", "5", "--json")
+    assert code == 0 and not err
+    payload = json.loads(out)["payload"]
+    assert payload["prime"] == 5
+    assert payload["sylow_order"] == 1
+    assert len(payload["rows"]) == 1
+
+
+def test_seed_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--group", "S4", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_unknown_group_exit_two(capsys):
     code, _, err = run_cli(capsys, "analyze", "--group", "NoSuchGroup",
                            "--prime", "2")

@@ -216,6 +216,19 @@ def test_normalizer_centralizer_core_match_oracle():
         oracles.naive_core(G, H.members)
 
 
+def test_normalizer_is_memoized_on_the_group():
+    G = S4()
+    H = Subgroup(G, G.closure_indices(
+        [G.index_of(from_cycles(4, [[0, 1]]))]))
+    scans = []
+    conjugates = G.conjugates
+    G.conjugates = lambda idx: scans.append(idx) or conjugates(idx)
+    N = normalizer(G, H)
+    assert normalizer(G, H) is N
+    assert len(scans) == 1
+    assert N.order == 4
+
+
 def test_core_of_klein_in_s4():
     G = S4()
     # the non-normal Klein four-group <(01),(23)> has trivial core

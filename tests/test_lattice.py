@@ -12,7 +12,9 @@ from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, Limits,
                        normal_subgroups, prime_divisors, psl2,
                        quotient_group, structure_flags, sylow_subgroup,
                        symmetric)
+from fusionsys import lattice as lattice_mod
 from fusionsys.perms import from_cycles
+from fusionsys.verify import REGISTRY_ORDER, run_suite
 
 
 def members_set(lattice):
@@ -105,6 +107,54 @@ def test_subgroup_cap_stops_a_large_walk():
         all_subgroups(symmetric(6), limits=DEFAULT_LIMITS.scaled(
             subgroup_cap=1000))
     assert err.value.reached == 1001
+
+
+def _count_walks(monkeypatch) -> list:
+    walks = []
+    walk = lattice_mod._walk_lattice
+
+    def counted(*args):
+        walks.append(args[1])
+        return walk(*args)
+    monkeypatch.setattr(lattice_mod, "_walk_lattice", counted)
+    return walks
+
+
+def test_a_capped_walk_fails_once(monkeypatch):
+    # E16 has 67 subgroups: every theorem reads the lattice of S = G and
+    # hits the cap, but the walk itself runs once
+    walks = _count_walks(monkeypatch)
+    tight = DEFAULT_LIMITS.scaled(subgroup_cap=50)
+    suite = run_suite([("E16", elementary_abelian(2, 4))], limits=tight)
+    assert suite.entry_errors == tuple(
+        {"group": "E16", "prime": 2, "theorem": tid,
+         "error": "subgroup walk exceeded the cap of 50"}
+        for tid in REGISTRY_ORDER)
+    assert len(walks) == 1
+
+
+def test_capped_walk_record_covers_smaller_caps(monkeypatch):
+    def at(cap):
+        return DEFAULT_LIMITS.scaled(subgroup_cap=cap)
+
+    with pytest.raises(CapacityError) as fresh:
+        all_subgroups(symmetric(4), limits=at(5))
+    walks = _count_walks(monkeypatch)
+    G = symmetric(4)  # 30 subgroups
+    with pytest.raises(CapacityError):
+        all_subgroups(G, limits=at(10))
+    with pytest.raises(CapacityError) as again:
+        all_subgroups(G, limits=at(5))
+    assert len(walks) == 1
+    assert str(again.value) == str(fresh.value)
+    assert ((again.value.cap_name, again.value.cap_value,
+             again.value.reached) == ("subgroup_cap", 5, 6)
+            == (fresh.value.cap_name, fresh.value.cap_value,
+                fresh.value.reached))
+    # a larger cap walks again, and its lattice is kept
+    assert len(all_subgroups(G, limits=at(30))) == 30
+    assert all_subgroups(G) is all_subgroups(G, limits=at(30))
+    assert len(walks) == 2
 
 
 def _oracle_indices(anchor, members):

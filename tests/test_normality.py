@@ -125,9 +125,7 @@ def test_equivalence_suite_runs_clean(build, p):
     # the suite itself asserts: pronormal = weakly normal = weakly closed
     # in S; s-subnormalizer = semi-invariance; weakly closed implies the
     # s-subnormalizer condition.  Any violation raises EngineError.
-    G = build()
-    S = sylow_subgroup(G, p)
-    rep = equivalence_suite(G, S)
+    rep = equivalence_suite(FusionContext.build(build(), p))
     assert len(rep.rows) >= 1
     assert 0.0 <= rep.subnormalizer_agreement <= 1.0
     assert rep.prime == p
@@ -135,7 +133,7 @@ def test_equivalence_suite_runs_clean(build, p):
 
 def test_equivalence_suite_row_shape(s4):
     G, S = s4
-    rep = equivalence_suite(G, S)
+    rep = equivalence_suite(FusionContext(G, S, 2))
     assert len(rep.rows) == 10
     row = rep.rows[0]
     for key in ("order", "generators", "pronormal", "weakly_normal",

@@ -2,12 +2,12 @@ import sys
 
 import pytest
 
-from fusionsys import (CapacityError, Limits, ValidationError, check_theorem,
-                       cyclic, dicyclic, heisenberg, run_suite,
+from fusionsys import (CapacityError, FusionContext, Limits, ValidationError,
+                       check_theorem, cyclic, dicyclic, heisenberg, run_suite,
                        scan_hypothesis, symmetric, branch_fidelity_report,
                        suite_payload)
 from fusionsys.verify import (CASE_SHAPES, REGISTRY, REGISTRY_ORDER,
-                              ContextBundle, HypothesisTemplate)
+                              HypothesisTemplate)
 
 
 def test_registry_shape():
@@ -41,23 +41,23 @@ def test_case_shapes_vocabulary():
 
 
 def test_scan_hypothesis_witness_orders():
-    bundle = ContextBundle(cyclic(8), 2, name="C8")
-    scan = scan_hypothesis(bundle, REGISTRY["TheoremB"].template)
+    ctx = FusionContext.build(cyclic(8), 2)
+    scan = scan_hypothesis(ctx, REGISTRY["TheoremB"].template)
     assert scan.holds
     assert scan.witness_orders == (2, 4)
 
 
 def test_scan_hypothesis_odd_only_note():
-    bundle = ContextBundle(cyclic(8), 2, name="C8")
-    scan = scan_hypothesis(bundle, REGISTRY["TheoremC"].template)
+    ctx = FusionContext.build(cyclic(8), 2)
+    scan = scan_hypothesis(ctx, REGISTRY["TheoremC"].template)
     assert not scan.holds
     assert any("odd" in n for n in scan.notes)
 
 
 def test_scan_hypothesis_coprime_note():
     # gcd(3 - 1, 24) = 2, so the p-nilpotency form does not apply to S4 at 3
-    bundle = ContextBundle(symmetric(4), 3, name="S4")
-    scan = scan_hypothesis(bundle, REGISTRY["Sec5-s_subnormalizer"].template)
+    ctx = FusionContext.build(symmetric(4), 3)
+    scan = scan_hypothesis(ctx, REGISTRY["Sec5-s_subnormalizer"].template)
     assert not scan.holds
     assert any("gcd" in n for n in scan.notes)
 
