@@ -5,12 +5,22 @@ image tuples sorted lexicographically (so the identity is always element 0),
 and every search in the package walks that order; any "least witness" reported
 anywhere is therefore reproducible run to run.
 
+A group is built in numpy.  ``generate_group`` closes the generators
+breadth first: each level composes the whole frontier with every generator
+in one gather and keeps the products whose bytes are new, and the elements
+are sorted once at the end.  A group's elements are also kept as an
+(n, degree) array of points whose row bytes sort as the elements do
+(``_Points``), so any set of permutations is located among the elements by
+one ``searchsorted``.
+
 Multiplication, inversion and conjugation index tables are built lazily as
 numpy arrays; the hot subgroup-level scans (normalizers, transporters, cores)
 are vectorized over them.  The multiplication table is built by a
-breadth-first walk of the right Cayley graph over the generators: only the
-generators' rows are looked up permutation by permutation, and every other
-row is one numpy gather of a row already built.  Its Python-list view,
+breadth-first walk of the right Cayley graph over the generators: the
+generators' rows come from one lookup, and each level of the walk is filled
+by batched gathers of rows already built.  Inverses are found by one lookup
+of the inverted permutations, and element orders are the lcm of cycle
+lengths computed for all elements at once.  The table's Python-list view,
 ``mul_rows``, builds each row on first use, so a query that touches a few
 subgroups of a large group never boxes the whole n*n table.  Conjugation is
 read through ``Group.conjugates``, which builds the column of a member (its
@@ -29,15 +39,14 @@ from __future__ import annotations
 import math
 import mmap
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, EngineError, ValidationError
 from .limits import DEFAULT_LIMITS, Limits
-from .perms import (Perm, compose, cycle_string, identity, inverse,
-                    perm_order, validate_perm)
+from .perms import Perm, compose, cycle_string, identity, validate_perm
 
 __all__ = [
     "Group", "Subgroup", "GroupMap", "StructureFlags",
@@ -121,6 +130,7 @@ class Group(_Memo):
         if elements[0] != identity(degree):
             raise ValidationError("element 0 must be the identity; "
                                   "construct groups through generate_group")
+        self._pts: _Points | None = None
         self._mul: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         # conjugation columns: _conj_block[:, _conj_pos[i]] is the column of
@@ -158,15 +168,26 @@ class Group(_Memo):
     def _dtype(self):
         return np.int16 if self.order <= 32000 else np.int32
 
+    def _points(self) -> "_Points":
+        """The elements as an array of points, with their row bytes."""
+        if self._pts is None:
+            point, row = _row_dtypes(self.degree)
+            rows = np.array(self.elements, dtype=point)
+            self._pts = _Points(rows, rows.view(row).ravel())
+        return self._pts
+
     @property
     def mul_table(self) -> np.ndarray:
         """``mul_table[i, j]`` is the index of ``elements[i] * elements[j]``.
 
-        Built along the right Cayley graph: ``row(x*g) = row(x)[row(g)]``
-        because ``(x*g)*j = x*(g*j)``, so a breadth-first walk from the
-        identity over the generators fills every row with one gather each.
-        Only the generators' rows are looked up permutation by permutation.
-        Raises EngineError when the generators do not generate ``elements``.
+        The table is built along the right Cayley graph:
+        ``row(x*g) = row(x)[row(g)]`` because ``(x*g)*j = x*(g*j)``.  One
+        lookup of the products ``g*j`` gives the generators' rows, and a
+        breadth-first walk from the identity fills each level with gathers
+        of rows already built, in slabs of about ``_SLAB_ELEMENTS`` entries.
+
+        Raises EngineError when the generators do not generate ``elements``,
+        which is when the walk does not reach every row.
         """
         if self._mul is None:
             self._mul = self._cayley_table()
@@ -174,38 +195,43 @@ class Group(_Memo):
 
     def _cayley_table(self) -> np.ndarray:
         n = self.order
-        lookup = self._index
-        P = np.array(self.elements, dtype=np.int64)
-        steps: list[tuple[int, np.ndarray]] = []
-        try:
-            for g in self.generators:
-                gi = lookup[g]
-                # P[:, P[gi]][j] is elements[gi] * elements[j]
-                images = map(tuple, P[:, P[gi]].tolist())
-                steps.append((gi, np.fromiter((lookup[q] for q in images),
-                                              dtype=np.int64, count=n)))
-        except KeyError:
-            raise EngineError("the element list is not closed under "
-                              "multiplication by the generators") from None
+        pts = self._points()
+        gens = np.array(self.generators, dtype=pts.rows.dtype
+                        ).reshape(-1, self.degree)
+        # rows.take(gens, 1)[j, g] is gens[g] * elements[j]
+        prod = pts.index(pts.rows.take(gens, 1).reshape(-1, self.degree),
+                         "multiplication by the generators")
+        step = prod.reshape(n, len(gens)).T  # step[g] is the row of gens[g]
         table = _table_array((n, n), self._dtype())
         table[0] = np.arange(n)
-        reached = [False] * n
-        reached[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row_x = table[x]
-                for gi, row_g in steps:
-                    y = int(row_x[gi])
-                    if not reached[y]:
-                        reached[y] = True
-                        table[y] = row_x[row_g]
-                        nxt.append(y)
-            frontier = nxt
-        if not all(reached):
+        unreached = np.ones(n, dtype=bool)
+        unreached[0] = False
+        count = 1
+        slab = max(1, _SLAB_ELEMENTS // n)
+        frontier = np.zeros(1, dtype=np.intp)
+        flat = table.reshape(-1)
+        while count < n and frontier.size:
+            level = []
+            for g, gi in enumerate(step[:, 0].tolist()):  # g*1 is g
+                # x -> x*g is one-to-one: the new products are distinct.
+                # take, compress and put: cheaper than fancy indexing on
+                # the small arrays of a small group
+                found = flat.take(frontier * n + gi)  # table[frontier, gi]
+                fresh = unreached.take(found)
+                found = found.compress(fresh)
+                if not found.size:
+                    continue
+                unreached.put(found, False)
+                count += found.size
+                xs = frontier.compress(fresh)
+                for s in range(0, found.size, slab):
+                    table[found[s:s + slab]] = table.take(
+                        xs[s:s + slab], 0).take(step[g], 1)
+                level.append(found)
+            frontier = np.concatenate([frontier[:0]] + level)
+        if count < n:
             raise EngineError(
-                f"the generators reach {sum(reached)} of the {n} elements; "
+                f"the generators reach {count} of the {n} elements; "
                 f"construct groups through generate_group")
         return table
 
@@ -220,11 +246,13 @@ class Group(_Memo):
 
     @property
     def inv_vector(self) -> np.ndarray:
-        """``inv_vector[i]`` is the index of ``elements[i]^-1``.  Each row of
-        ``mul_table`` is a permutation of 0..n-1, so its least entry, the
-        identity 0, sits at the inverse."""
+        """``inv_vector[i]`` is the index of ``elements[i]^-1``.  The rows of
+        points are permutations, so their argsort inverts them all at once,
+        and one lookup finds the inverses among the elements."""
         if self._inv is None:
-            self._inv = np.argmin(self.mul_table, axis=1).astype(self._dtype())
+            pts = self._points()
+            inverted = pts.rows.argsort(axis=1).astype(pts.rows.dtype)
+            self._inv = pts.index(inverted, "inversion").astype(self._dtype())
         return self._inv
 
     @property
@@ -299,8 +327,28 @@ class Group(_Memo):
 
     @property
     def element_orders(self) -> tuple[int, ...]:
+        """``element_orders[i]`` is the order of ``elements[i]``, the lcm of
+        its cycle lengths.  Every point of every element is labelled with the
+        least point of its cycle by pointer doubling, ``log2(degree)``
+        gathers over all elements at once; a cycle's length is the number of
+        points that carry its label.  Every partial lcm divides the order of
+        its element, which is at most the group's, so int64 cannot
+        overflow."""
         if self._orders is None:
-            self._orders = tuple(perm_order(p) for p in self.elements)
+            rows = self._points().rows
+            n, d = rows.shape
+            # cell x*d + i stands for point i of element x
+            jump = (rows + np.arange(0, n * d, d)[:, np.newaxis]).ravel()
+            # label[c]: the least cell among c and its next `span - 1` images
+            label = np.arange(n * d)
+            span = 1
+            while span < d:
+                np.minimum(label, label[jump], out=label)
+                jump = jump[jump]
+                span *= 2
+            lengths = np.bincount(label, minlength=n * d)[label]
+            self._orders = tuple(
+                np.lcm.reduce(lengths.reshape(n, d), axis=1).tolist())
         return self._orders
 
     # -- distinguished subgroups ---------------------------------------------
@@ -341,6 +389,9 @@ class Group(_Memo):
 # elements per gather when conjugation columns are built: the index arrays
 # numpy makes for one gather then stay near 8 MB
 _GATHER_ELEMENTS = 1 << 20
+# rows per gather when the multiplication table is filled: a slab of about
+# this many entries stays in cache (np.take over a larger block is slower)
+_SLAB_ELEMENTS = 1 << 16
 # width of the first block of conjugation columns: a group of at most this
 # order gets its whole conjugation table on the first request, and a large
 # group's first block stays small (80 KB for A7)
@@ -389,6 +440,32 @@ class _RowStore(dict):
         # concurrent fills of one row compute the same list: idempotent
         row = self[i] = self._table[i].tolist()
         return row
+
+
+def _row_dtypes(degree: int) -> tuple[np.dtype, np.dtype]:
+    """How a permutation of ``degree`` is stored as a row: the dtype of a
+    point, the smallest unsigned one that holds them, big-endian so that the
+    bytes of a row sort as the row does lexicographically; and the dtype of
+    the row's bytes as one void scalar."""
+    size = 1 if degree <= 1 << 8 else 2 if degree <= 1 << 16 else 4
+    return np.dtype(f">u{size}"), np.dtype(f"V{degree * size}")
+
+
+class _Points(NamedTuple):
+    """A group's elements as an (n, degree) array of points, in element
+    order, with their row bytes, which increase with the index."""
+
+    rows: np.ndarray
+    keys: np.ndarray
+
+    def index(self, rows: np.ndarray, closed: str) -> np.ndarray:
+        """The element index of each of an (m, degree) array of rows, which
+        are products the element list must be ``closed`` under."""
+        keys = np.ascontiguousarray(rows).view(self.keys.dtype).ravel()
+        pos = self.keys.searchsorted(keys)
+        if (self.rows.take(pos, 0, mode="clip") != rows).any():
+            raise EngineError(f"the element list is not closed under {closed}")
+        return pos
 
 
 class Subgroup:
@@ -569,6 +646,11 @@ def generate_group(degree: int, generators: Sequence, *,
 
     Generators are validated; the degree cap and order cap are enforced.
     A group with no generators is the trivial group on ``degree`` points.
+    The closure is breadth first: each level composes the whole frontier
+    with every generator in one gather, keeps the products whose bytes have
+    not been seen, and raises CapacityError as soon as the elements found
+    pass ``order_cap`` (``reached`` is ``order_cap + 1``).  The elements are
+    sorted once at the end.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValidationError(f"degree must be a positive integer, got {degree!r}")
@@ -584,24 +666,32 @@ def generate_group(degree: int, generators: Sequence, *,
                 f"generator {cycle_string(g)} has degree {len(g)}, expected {degree}")
         if g not in gens:
             gens.append(g)
-    e = identity(degree)
-    seen: set[Perm] = {e}
-    frontier: list[Perm] = [e]
-    while frontier:
-        nxt: list[Perm] = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in seen:
-                    if len(seen) >= limits.order_cap:
-                        raise CapacityError(
-                            f"group order exceeds the cap of {limits.order_cap}",
-                            cap_name="order_cap", cap_value=limits.order_cap,
-                            reached=len(seen) + 1)
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Group(degree, tuple(gens), tuple(sorted(seen)))
+    points, row = _row_dtypes(degree)
+    gen_rows = np.array(gens, dtype=points).reshape(-1, degree)
+    frontier = np.arange(degree, dtype=points)[np.newaxis]
+    seen = {frontier.tobytes()}
+    while True:
+        # gen_rows.take(frontier, 1)[g, f] is frontier[f] * gens[g]
+        products = gen_rows.take(frontier, 1).view(row)
+        new = set(products.ravel().tolist())
+        new.difference_update(seen)
+        if not new:
+            break
+        seen.update(new)
+        if len(seen) > limits.order_cap:
+            raise CapacityError(
+                f"group order exceeds the cap of {limits.order_cap}",
+                cap_name="order_cap", cap_value=limits.order_cap,
+                reached=limits.order_cap + 1)
+        frontier = np.frombuffer(b"".join(new), dtype=points
+                                 ).reshape(-1, degree)
+    # bytes sort as the rows do: this is the order of sorted permutations
+    rows = np.frombuffer(b"".join(sorted(seen)), dtype=points
+                         ).reshape(-1, degree)
+    # columns as lists, zipped: Python ints, and no list per element
+    G = Group(degree, tuple(gens), tuple(zip(*rows.T.tolist())))
+    G._pts = _Points(rows, rows.view(row).ravel())
+    return G
 
 
 # -- pointwise operators -------------------------------------------------------

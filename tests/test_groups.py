@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 import oracles
 from fusionsys import (CORPUS, CapacityError, EngineError, Group, Limits,
                        Subgroup, ValidationError, all_subgroups, alternating,
-                       builtin_group, heisenberg, centralizer,
+                       builtin_group, cyclic, heisenberg, centralizer,
                        conjugate_subgroup, core, generate_group, normalizer,
                        prime_divisors, quotient_group, structure_flags,
                        subgroup_label, subgroup_product, sylow_subgroup,
                        symmetric)
-from fusionsys.perms import compose, from_cycles, identity, inverse
+from fusionsys.perms import (compose, from_cycles, identity, inverse,
+                             perm_order)
 
 
 def S4():
@@ -46,10 +47,18 @@ def test_generate_group_validation():
 
 
 def test_order_cap():
-    with pytest.raises(CapacityError):
+    # the walk stops at the first element past the cap, whatever a level of
+    # it would have found
+    with pytest.raises(CapacityError) as small:
         generate_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)],
                        limits=Limits(order_cap=10, degree_cap=64,
                                      subgroup_cap=100))
+    assert (small.value.cap_name, small.value.cap_value,
+            small.value.reached) == ("order_cap", 10, 11)
+    with pytest.raises(CapacityError) as large:
+        symmetric(8)  # order 40320 under the default cap of 5000
+    assert (large.value.cap_name, large.value.cap_value,
+            large.value.reached) == ("order_cap", 5000, 5001)
 
 
 def test_degree_cap():
@@ -73,11 +82,33 @@ def test_tables_consistent():
             assert lhs == rhs
 
 
+# groups of degree 300, above what a byte holds: _automizer widens
+# degree_cap to |N| for its quotients, so points can pass 255
+_DEGREE_300 = Limits(degree_cap=300)
+
+
+def _cycle_300():
+    return generate_group(300, [from_cycles(300, [list(range(300))])],
+                          limits=_DEGREE_300)
+
+
+def _s3_times_c4_on_300_points():
+    # S3 on the three highest points, C4 on the four lowest
+    gens = [from_cycles(300, [[297, 298]]),
+            from_cycles(300, [[297, 298, 299]]),
+            from_cycles(300, [[0, 1, 2, 3]])]
+    return generate_group(300, gens, limits=_DEGREE_300)
+
+
 def _table_cases():
     cases = [(entry.name, lambda spec=entry.spec: builtin_group(spec))
              for entry in CORPUS]
     cases.append(("A7", lambda: alternating(7)))
     cases.append(("Heis3", lambda: heisenberg(3)))  # degree 27
+    cases.append(("C300", _cycle_300))
+    cases.append(("S3xC4 on 300", _s3_times_c4_on_300_points))
+    cases.append(("1 on 4 points", lambda: generate_group(4, [])))
+    cases.append(("C1", lambda: cyclic(1)))
 
     def s4_mod_v4():
         G = S4()
@@ -121,6 +152,21 @@ def test_tables_match_oracle(build):
     assert np.array_equal(G.conj_table, conj)
     for i in (0, n // 2, n - 1):
         assert G.mul_rows[i] == M[i].tolist()
+
+
+def _construction_cases():
+    return _table_cases() + [("S6", lambda: symmetric(6))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _construction_cases()],
+                         ids=[name for name, _ in _construction_cases()])
+def test_construction_matches_oracles(build):
+    G = build()
+    assert G.elements == tuple(sorted(oracles.naive_closure(G.degree,
+                                                            G.generators)))
+    assert G.element_orders == tuple(perm_order(x) for x in G.elements)
+    inv = [G.index_of(inverse(x)) for x in G.elements]
+    assert G.inv_vector.tolist() == inv
 
 
 def test_large_tables_have_their_own_mapping():

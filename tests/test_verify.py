@@ -1,11 +1,14 @@
+import random
 import sys
 
 import pytest
 
-from fusionsys import (CapacityError, FusionContext, Limits, ValidationError,
-                       check_theorem, cyclic, dicyclic, heisenberg, run_suite,
-                       scan_hypothesis, symmetric, branch_fidelity_report,
-                       suite_payload)
+from fusionsys import (CORPUS, CapacityError, FusionContext, Limits,
+                       ValidationError, alternating, builtin_group,
+                       check_theorem, cyclic, dicyclic, generate_group,
+                       heisenberg, psl2, run_suite, scan_hypothesis, symmetric,
+                       branch_fidelity_report, suite_payload)
+from fusionsys.perms import compose, conjugate
 from fusionsys.verify import (CASE_SHAPES, REGISTRY, REGISTRY_ORDER,
                               HypothesisTemplate)
 
@@ -183,3 +186,36 @@ def test_branch_fidelity_report_is_observational():
         # a weakened hypothesis can only hold more often
         if row["strict_holds"]:
             assert row["weakened_holds"]
+
+
+def _verdicts(G):
+    """The per-row verdicts of the suite on G, without witnesses."""
+    return [(o.theorem_id, o.prime, o.hypothesis_holds, o.conclusion_holds,
+             o.verdict) for o in run_suite([("G", G)]).outcomes]
+
+
+def _presented_again(G, seed):
+    """G on points relabelled by a fixed-seed permutation, with its
+    generators shuffled and one redundant generator added."""
+    rng = random.Random(seed)
+    relabel = list(range(G.degree))
+    rng.shuffle(relabel)
+    gens = [conjugate(g, tuple(relabel)) for g in G.generators]
+    gens.append(compose(gens[0], gens[-1]))
+    rng.shuffle(gens)
+    return generate_group(G.degree, gens)
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in CORPUS],
+                         ids=[e.name for e in CORPUS])
+def test_verdicts_do_not_depend_on_the_presentation(spec):
+    G = builtin_group(spec)
+    H = _presented_again(G, seed=len(spec))
+    assert H.order == G.order and H.generators != G.generators
+    assert _verdicts(H) == _verdicts(G)
+
+
+def test_isomorphic_simple_groups_of_order_60_agree():
+    a5 = _verdicts(alternating(5))
+    assert _verdicts(psl2(4)) == a5
+    assert _verdicts(psl2(5)) == a5
