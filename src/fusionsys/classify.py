@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .groups import (Group, Subgroup, is_prime, normalizer, p_part,
-                     sylow_subgroup)
+from .groups import (Group, Subgroup, _as_index_array, _mask, is_prime,
+                     normalizer, p_part, sylow_subgroup)
 from .lattice import all_subgroups, chief_series_below, normal_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -115,12 +113,9 @@ def has_strongly_p_embedded(A: Group, p: int, *,
     for H in all_subgroups(A, limits=limits).all:
         if H.order == A.order or H.order % p:
             continue
-        idx = np.fromiter(H.indices, dtype=np.int64, count=H.order)
-        in_H = np.zeros(A.order, dtype=bool)
-        in_H[list(H.indices)] = True
-        meets = in_H[A.conjugates(idx)].sum(axis=1)  # |H^g meet H|, each g
-        outside = np.ones(A.order, dtype=bool)
-        outside[list(H.indices)] = False
-        if (meets[outside] % p != 0).all():
+        in_H = _mask(A, H.indices)
+        # |H^g meet H|, each g
+        meets = in_H[A.conjugates(_as_index_array(H))].sum(axis=1)
+        if (meets[~in_H] % p != 0).all():
             return EmbeddingSearch(found=True, witness=H)
     return EmbeddingSearch(found=False, witness=None)

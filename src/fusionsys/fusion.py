@@ -20,9 +20,10 @@ import numpy as np
 from .classify import has_strongly_p_embedded
 from .errors import (EngineError, PreconditionError, UnsupportedCaseError,
                      ValidationError)
-from .groups import (Group, GroupMap, Subgroup, _Memo, _moved_conjugate_into,
-                     centralizer, core, is_prime, normalizer, p_part,
-                     quotient_group, subgroup_product, sylow_subgroup)
+from .groups import (Group, GroupMap, Subgroup, _as_index_array, _mask, _Memo,
+                     _moved_conjugate_into, _quotient, centralizer, core,
+                     is_prime, normalizer, p_part, quotient_group,
+                     subgroup_product, sylow_subgroup)
 from .lattice import SubgroupLattice, all_subgroups, cyclic_quotient
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -69,8 +70,7 @@ class FusionContext(_Memo):
         self.S = S
         self.p = p
         self.limits = limits
-        self.S_mask = np.zeros(G.order, dtype=bool)
-        self.S_mask[list(S.indices)] = True
+        self.S_mask = _mask(G, S.indices)
 
     @classmethod
     def build(cls, G: Group, p: int, *,
@@ -96,14 +96,6 @@ class FusionContext(_Memo):
 
     # -- internal scans ------------------------------------------------------
 
-    def _idx(self, P: Subgroup) -> np.ndarray:
-        return np.fromiter(P.indices, dtype=np.int64, count=P.order)
-
-    def _mask_of(self, P: Subgroup) -> np.ndarray:
-        m = np.zeros(self.G.order, dtype=bool)
-        m[list(P.indices)] = True
-        return m
-
     def _maps_into(self, P: Subgroup, target_mask: np.ndarray,
                    conjugator_rows: np.ndarray | None = None):
         """Distinct conjugation maps of P into the masked target.
@@ -113,7 +105,7 @@ class FusionContext(_Memo):
         element index.  Conjugators default to all of G; pass a row selection
         to restrict (e.g. to S).
         """
-        M = self.G.conjugates(self._idx(P))
+        M = self.G.conjugates(_as_index_array(P))
         if conjugator_rows is not None:
             M = M[conjugator_rows]
         ok = target_mask[M].all(axis=1)
@@ -135,11 +127,11 @@ class FusionContext(_Memo):
         """Memoized distinct automorphism assignments of K with least
         inducers."""
         return self.memo(("aut_keys", K.indices),
-                         lambda: self._maps_into(K, self._mask_of(K)))
+                         lambda: self._maps_into(K, _mask(self.G, K.indices)))
 
     def _normalizer_in_S(self, Q: Subgroup) -> Subgroup:
-        s_idx = self._idx(self.S)
-        q_idx = self._idx(Q)
+        s_idx = _as_index_array(self.S)
+        q_idx = _as_index_array(Q)
         images = np.sort(self.G.conjugates(q_idx)[s_idx], axis=1)
         ok = (images == q_idx[np.newaxis, :]).all(axis=1)
         return Subgroup._from_closed(
@@ -147,8 +139,8 @@ class FusionContext(_Memo):
 
     def _centralizer_in_S_inside(self, Q: Subgroup) -> bool:
         """Whether C_S(Q) <= Q (the centric condition for one class member)."""
-        s_idx = self._idx(self.S)
-        q_idx = self._idx(Q)
+        s_idx = _as_index_array(self.S)
+        q_idx = _as_index_array(Q)
         fixed = (self.G.conjugates(q_idx)[s_idx]
                  == q_idx[np.newaxis, :]).all(axis=1)
         return all(int(s_idx[i]) in Q.index_set for i in np.flatnonzero(fixed))
@@ -212,7 +204,7 @@ def fusion_class(ctx: FusionContext, P: Subgroup) -> FusionClass:
     ctx.check_object(P)
 
     def compute() -> FusionClass:
-        M = ctx.G.conjugates(ctx._idx(P))
+        M = ctx.G.conjugates(_as_index_array(P))
         rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
         imgs = sorted(set(map(tuple, np.sort(M[rows], axis=1).tolist())))
         members = tuple(Subgroup._from_closed(ctx.G, img) for img in imgs)
@@ -231,7 +223,7 @@ def morphisms(ctx: FusionContext, P: Subgroup, Q: Subgroup) -> tuple[GroupMap, .
     """
     ctx.check_object(P)
     ctx.check_object(Q)
-    keys, gs = ctx._maps_into(P, ctx._mask_of(Q))
+    keys, gs = ctx._maps_into(P, _mask(ctx.G, Q.indices))
     els = ctx.G.elements
     out = []
     for key, g in zip(keys, gs):
@@ -253,15 +245,17 @@ def _automizer(ctx: FusionContext, P: Subgroup) -> AutomizerPair:
     C = centralizer(G, P)
     PC = subgroup_product(P, C)
     Ng = N.as_group()
-
-    def rebase(H: Subgroup) -> Subgroup:
-        return Subgroup._from_closed(
-            Ng, tuple(sorted(Ng.index_of(m) for m in H.members)))
-
     wide = ctx.limits.scaled(degree_cap=max(ctx.limits.degree_cap, N.order))
-    aut, _ = quotient_group(Ng, rebase(C), limits=wide)
-    out, _ = quotient_group(Ng, rebase(PC), limits=wide)
+    aut, _ = _quotient(Ng, _rebase(C, N, Ng), wide)
+    out, _ = _quotient(Ng, _rebase(PC, N, Ng), wide)
     return AutomizerPair(aut=aut, out=out)
+
+
+def _rebase(H: Subgroup, N: Subgroup, Ng: Group) -> Subgroup:
+    """H <= N as a subgroup of ``Ng = N.as_group()``, whose element i is
+    N's member ``N.indices[i]``."""
+    return Subgroup._from_closed(
+        Ng, tuple(np.searchsorted(N.indices, H.indices).tolist()))
 
 
 # -- predicates ------------------------------------------------------------------
@@ -345,8 +339,8 @@ def _closure_predicate(ctx: FusionContext, Q: Subgroup,
     els = G.elements
 
     if kind == "strongly_closed":
-        M = G.conjugates(ctx._idx(Q))
-        viol = ctx.S_mask[M] & ~ctx._mask_of(Q)[M]
+        M = G.conjugates(_as_index_array(Q))
+        viol = ctx.S_mask[M] & ~_mask(G, Q.indices)[M]
         bad_rows = np.flatnonzero(viol.any(axis=1))
         if bad_rows.size:
             g = int(bad_rows[0])
@@ -442,9 +436,7 @@ def normalizer_system(ctx: FusionContext, Q: Subgroup) -> FusionContext:
         raise EngineError("N_S(Q) is not Sylow in N_G(Q) although Q is fully "
                           "normalized; fusion bookkeeping is wrong")
     Ng = NG.as_group()
-    S_new = Subgroup._from_closed(
-        Ng, tuple(sorted(Ng.index_of(m) for m in NS.members)))
-    return FusionContext(Ng, S_new, ctx.p, limits=ctx.limits)
+    return FusionContext(Ng, _rebase(NS, NG, Ng), ctx.p, limits=ctx.limits)
 
 
 def quotient_system(ctx: FusionContext, Q: Subgroup) -> QuotientSystem:
@@ -552,7 +544,7 @@ def sylow_controls_fusion(ctx: FusionContext) -> bool:
     Compared object by object: for each P <= S the set of distinct
     assignments P -> S induced by G must equal the set induced by S alone.
     """
-    s_rows = np.fromiter(ctx.S.indices, dtype=np.int64, count=ctx.S.order)
+    s_rows = _as_index_array(ctx.S)
     for P in ctx.lattice_S.all:
         keys_G, _ = ctx._maps_into(P, ctx.S_mask)
         keys_S, _ = ctx._maps_into(P, ctx.S_mask, conjugator_rows=s_rows)

@@ -1,17 +1,20 @@
 """Finite permutation groups with fully materialized element sets.
 
-Everything is exact and deterministic.  A group stores all of its elements as
-image tuples sorted lexicographically (so the identity is always element 0),
-and every search in the package walks that order; any "least witness" reported
-anywhere is therefore reproducible run to run.
+Everything is exact and deterministic.  A group stores its elements once,
+as the rows of an (n, degree) array of points, ``Group.points``, sorted
+lexicographically (so the identity is always element 0); every search in the
+package walks that order, and any "least witness" reported anywhere is
+therefore reproducible run to run.  Points are big-endian in the smallest
+unsigned dtype that holds them, so row bytes sort as rows do and one
+``searchsorted`` locates any set of permutations among the elements.
+``Group.elements``, the elements as image tuples, is built on first use.
 
 A group is built in numpy.  ``generate_group`` closes the generators
 breadth first: each level composes the whole frontier with every generator
 in one gather and keeps the products whose bytes are new, and the elements
-are sorted once at the end.  A group's elements are also kept as an
-(n, degree) array of points whose row bytes sort as the elements do
-(``_Points``), so any set of permutations is located among the elements by
-one ``searchsorted``.
+are sorted once at the end.  ``Subgroup.as_group`` takes its parent's rows,
+and ``quotient_group`` builds its quotient from the rows of the coset
+action.
 
 Multiplication, inversion and conjugation index tables are built lazily as
 numpy arrays; the hot subgroup-level scans (normalizers, transporters, cores)
@@ -40,7 +43,8 @@ import math
 import mmap
 import threading
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,22 +119,25 @@ class Group(_Memo):
     """A finite permutation group on ``{0, ..., degree-1}``.
 
     Construct through :func:`generate_group` (or the catalog); the constructor
-    itself trusts its arguments.  Elements are sorted lexicographically and
-    index 0 is the identity.
+    itself trusts its arguments.  ``elements`` is the (n, degree) array of
+    points the group keeps as ``points``, or a sequence of image tuples; its
+    rows are sorted lexicographically and row 0 is the identity.
     """
 
-    def __init__(self, degree: int, generators: tuple[Perm, ...],
-                 elements: tuple[Perm, ...]):
+    def __init__(self, degree: int, generators: tuple[Perm, ...], elements):
         super().__init__()
+        point, row = _row_dtypes(degree)
+        points = np.ascontiguousarray(elements, dtype=point)
+        points.flags.writeable = False
         self.degree = degree
         self.generators = generators
-        self.elements = elements
-        self.order = len(elements)
-        self._index: dict[Perm, int] = {p: i for i, p in enumerate(elements)}
-        if elements[0] != identity(degree):
+        self.points = points
+        self.order = len(points)
+        # the row bytes, which increase with the index
+        self._keys = points.view(row).ravel()
+        if not self.order or (points[0] != np.arange(degree)).any():
             raise ValidationError("element 0 must be the identity; "
                                   "construct groups through generate_group")
-        self._pts: _Points | None = None
         self._mul: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         # conjugation columns: _conj_block[:, _conj_pos[i]] is the column of
@@ -145,16 +152,48 @@ class Group(_Memo):
 
     # -- basic access -------------------------------------------------------
 
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """The elements as image tuples, in index order."""
+        # columns as lists, zipped: Python ints, and no list per element
+        return tuple(zip(*self.points.T.tolist()))
+
+    def _position(self, perm) -> int:
+        """The index of ``perm`` among the elements, or -1 when it is none.
+        A point outside the domain is rejected before it is cast to the
+        points' dtype, where it would wrap."""
+        row = np.asarray(perm)
+        if (row.shape != (self.degree,) or row.dtype.kind not in "iu"
+                or row.min() < 0 or row.max() >= self.degree):
+            return -1
+        key = row.astype(self.points.dtype).view(self._keys.dtype)
+        i = int(self._keys.searchsorted(key)[0])
+        return i if i < self.order and (self.points[i] == row).all() else -1
+
+    def _find(self, rows: np.ndarray, closed: str) -> np.ndarray:
+        """The element index of each of an (m, degree) array of rows, which
+        are products the element list must be ``closed`` under."""
+        keys = np.ascontiguousarray(rows).view(self._keys.dtype).ravel()
+        pos = self._keys.searchsorted(keys)
+        if (self.points.take(pos, 0, mode="clip") != rows).any():
+            raise EngineError(f"the element list is not closed under {closed}")
+        return pos
+
     def index_of(self, perm: Perm) -> int:
-        try:
-            return self._index[perm]
-        except KeyError:
+        i = self._position(perm)
+        if i < 0:
             raise ValidationError(
-                f"permutation {cycle_string(perm)} is not an element "
-                f"of this group") from None
+                f"permutation {perm!r} is not an element of this group")
+        return i
 
     def __contains__(self, perm: Perm) -> bool:
-        return perm in self._index
+        return self._position(perm) >= 0
+
+    def generating_indices(self) -> tuple[int, ...]:
+        """The indices of ``generators``, in their order."""
+        return self.memo(("generating_indices",), lambda: tuple(self._find(
+            np.array(self.generators, dtype=self.points.dtype
+                     ).reshape(-1, self.degree), "its generators").tolist()))
 
     def __len__(self) -> int:
         return self.order
@@ -167,14 +206,6 @@ class Group(_Memo):
 
     def _dtype(self):
         return np.int16 if self.order <= 32000 else np.int32
-
-    def _points(self) -> "_Points":
-        """The elements as an array of points, with their row bytes."""
-        if self._pts is None:
-            point, row = _row_dtypes(self.degree)
-            rows = np.array(self.elements, dtype=point)
-            self._pts = _Points(rows, rows.view(row).ravel())
-        return self._pts
 
     @property
     def mul_table(self) -> np.ndarray:
@@ -195,12 +226,11 @@ class Group(_Memo):
 
     def _cayley_table(self) -> np.ndarray:
         n = self.order
-        pts = self._points()
-        gens = np.array(self.generators, dtype=pts.rows.dtype
+        gens = np.array(self.generators, dtype=self.points.dtype
                         ).reshape(-1, self.degree)
-        # rows.take(gens, 1)[j, g] is gens[g] * elements[j]
-        prod = pts.index(pts.rows.take(gens, 1).reshape(-1, self.degree),
-                         "multiplication by the generators")
+        # points.take(gens, 1)[j, g] is gens[g] * elements[j]
+        prod = self._find(self.points.take(gens, 1).reshape(-1, self.degree),
+                          "multiplication by the generators")
         step = prod.reshape(n, len(gens)).T  # step[g] is the row of gens[g]
         table = _table_array((n, n), self._dtype())
         table[0] = np.arange(n)
@@ -250,9 +280,8 @@ class Group(_Memo):
         points are permutations, so their argsort inverts them all at once,
         and one lookup finds the inverses among the elements."""
         if self._inv is None:
-            pts = self._points()
-            inverted = pts.rows.argsort(axis=1).astype(pts.rows.dtype)
-            self._inv = pts.index(inverted, "inversion").astype(self._dtype())
+            inverted = self.points.argsort(axis=1).astype(self.points.dtype)
+            self._inv = self._find(inverted, "inversion").astype(self._dtype())
         return self._inv
 
     @property
@@ -335,7 +364,7 @@ class Group(_Memo):
         its element, which is at most the group's, so int64 cannot
         overflow."""
         if self._orders is None:
-            rows = self._points().rows
+            rows = self.points
             n, d = rows.shape
             # cell x*d + i stands for point i of element x
             jump = (rows + np.arange(0, n * d, d)[:, np.newaxis]).ravel()
@@ -451,23 +480,6 @@ def _row_dtypes(degree: int) -> tuple[np.dtype, np.dtype]:
     return np.dtype(f">u{size}"), np.dtype(f"V{degree * size}")
 
 
-class _Points(NamedTuple):
-    """A group's elements as an (n, degree) array of points, in element
-    order, with their row bytes, which increase with the index."""
-
-    rows: np.ndarray
-    keys: np.ndarray
-
-    def index(self, rows: np.ndarray, closed: str) -> np.ndarray:
-        """The element index of each of an (m, degree) array of rows, which
-        are products the element list must be ``closed`` under."""
-        keys = np.ascontiguousarray(rows).view(self.keys.dtype).ravel()
-        pos = self.keys.searchsorted(keys)
-        if (self.rows.take(pos, 0, mode="clip") != rows).any():
-            raise EngineError(f"the element list is not closed under {closed}")
-        return pos
-
-
 class Subgroup:
     """A subgroup of a parent :class:`Group`, stored as sorted element indices.
 
@@ -509,8 +521,7 @@ class Subgroup:
         return tuple(els[i] for i in self.indices)
 
     def contains_perm(self, perm: Perm) -> bool:
-        i = self.parent._index.get(perm)
-        return i is not None and i in self.index_set
+        return self.parent._position(perm) in self.index_set
 
     def contains(self, other: "Subgroup") -> bool:
         self._same_parent(other)
@@ -534,9 +545,12 @@ class Subgroup:
         return tuple(els[i] for i in self.generating_indices())
 
     def as_group(self) -> Group:
-        """This subgroup re-anchored as a Group in its own right."""
-        gens = self.generators or (identity(self.parent.degree),)
-        return Group(self.parent.degree, gens, self.members)
+        """This subgroup re-anchored as a Group in its own right: its
+        element i is the parent's element ``indices[i]``, because the
+        parent's rows, taken in index order, stay sorted."""
+        P = self.parent
+        gens = self.generators or (identity(P.degree),)
+        return Group(P.degree, gens, P.points[list(self.indices)])
 
     # -- comparisons ----------------------------------------------------------
 
@@ -688,10 +702,7 @@ def generate_group(degree: int, generators: Sequence, *,
     # bytes sort as the rows do: this is the order of sorted permutations
     rows = np.frombuffer(b"".join(sorted(seen)), dtype=points
                          ).reshape(-1, degree)
-    # columns as lists, zipped: Python ints, and no list per element
-    G = Group(degree, tuple(gens), tuple(zip(*rows.T.tolist())))
-    G._pts = _Points(rows, rows.view(row).ravel())
-    return G
+    return Group(degree, tuple(gens), rows)
 
 
 # -- pointwise operators -------------------------------------------------------
@@ -819,47 +830,54 @@ def quotient_group(G: Group, N: Subgroup, *,
                    limits: Limits = DEFAULT_LIMITS) -> tuple[Group, GroupMap]:
     """The quotient ``G/N`` acting on right cosets, with its projection.
 
-    N must be normal; a violating conjugator is named otherwise.  The
-    projection map is re-checked to be a homomorphism with kernel exactly N.
+    The cosets are numbered in the order of their least members, and the
+    quotient is the group of permutations the elements induce on them.  N
+    must be normal; a violating conjugator is named otherwise.  The kernel
+    of the projection is re-checked to be exactly N.
     """
+    Q, image = _quotient(G, N, limits)
+    els = Q.elements
+    return Q, GroupMap(source=G, target=Q, assignment=dict(
+        zip(G.elements, [els[q] for q in image.tolist()])))
+
+
+def _quotient(G: Group, N: Subgroup, limits: Limits
+              ) -> tuple[Group, np.ndarray]:
+    """``G/N`` as for ``quotient_group``, with ``image``: ``image[x]`` is
+    the index in the quotient of the permutation element x induces."""
     _check_anchor(G, N)
     n_idx = _as_index_array(N)
-    conj = G.conjugates(n_idx)
-    for g in G.generators:
-        img = np.sort(conj[G.index_of(g)])
-        if not (img == n_idx).all():
-            raise ValidationError(
-                f"subgroup is not normal: conjugation by {cycle_string(g)} "
-                f"moves it")
+    gens = list(G.generating_indices())
+    moved = (np.sort(G.conjugates(n_idx)[gens], axis=1) != n_idx).any(axis=1)
+    if moved.any():
+        raise ValidationError(
+            "subgroup is not normal: conjugation by "
+            f"{cycle_string(G.generators[int(moved.argmax())])} moves it")
     index = G.order // N.order
     if index > limits.degree_cap:
         raise CapacityError(
             f"quotient degree {index} exceeds the cap of {limits.degree_cap}",
             cap_name="degree_cap", cap_value=limits.degree_cap, reached=index)
-    mul = G.mul_rows
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for i in range(G.order):
-        if coset_of[i] == -1:
-            c = len(reps)
-            reps.append(i)
-            for n in N.indices:
-                coset_of[mul[n][i]] = c
-    # the permutation each x in G induces on the coset space
-    images: dict[Perm, Perm] = {}
-    for xi, x in enumerate(G.elements):
-        images[x] = tuple(coset_of[mul[r][xi]] for r in reps)
-    quot_elements = tuple(sorted(set(images.values())))
-    gen_imgs: list[Perm] = []
-    for g in G.generators:
-        img = images[g]
-        if img not in gen_imgs and img != identity(index):
-            gen_imgs.append(img)
-    Q = Group(index, tuple(gen_imgs), quot_elements)
-    proj = GroupMap(source=G, target=Q, assignment=images)
-    if tuple(sorted(proj.kernel_members())) != N.members:
+    mul = G.mul_table
+    # least[x] is the least member of the coset Nx, its representative;
+    # coset[x] numbers the cosets in the order of their representatives
+    least = mul[n_idx].min(axis=0)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    coset = reps.searchsorted(least)
+    # row d: coset c goes to the coset of reps[c] * reps[d].  Elements of
+    # one coset of a normal N act alike, so these are all the permutations
+    point, row = _row_dtypes(index)
+    acts = np.ascontiguousarray(coset[mul[np.ix_(reps, reps)]].T, dtype=point)
+    order = acts.view(row).ravel().argsort()
+    rank = np.empty(index, dtype=np.intp)
+    rank[order] = np.arange(index)
+    image = rank[coset]
+    # the identity is the least permutation: image 0 is the kernel
+    if not np.array_equal(np.flatnonzero(image == 0), n_idx):
         raise ValidationError("projection kernel does not match N")  # guard
-    return Q, proj
+    rows = acts[order]
+    picked = list(dict.fromkeys(q for q in image[gens].tolist() if q))
+    return Group(index, tuple(map(tuple, rows[picked].tolist())), rows), image
 
 
 # -- structure flags -----------------------------------------------------------
@@ -883,32 +901,26 @@ class StructureFlags:
 def structure_flags(H) -> StructureFlags:
     """Flags for a Group or Subgroup."""
     if isinstance(H, Group):
-        members = H.elements
         orders = H.element_orders
-        gens = H.generators
     elif isinstance(H, Subgroup):
-        members = H.members
         all_orders = H.parent.element_orders
         orders = tuple(all_orders[i] for i in H.indices)
-        gens = H.generators
     else:
         raise ValidationError(f"expected a Group or Subgroup, got {type(H).__name__}")
-    n = len(members)
+    n = H.order
+    gens = H.generators
     abelian = all(compose(a, b) == compose(b, a)
                   for i, a in enumerate(gens) for b in gens[i + 1:])
     exponent = math.lcm(*orders) if orders else 1
     cyclic = max(orders, default=1) == n
     elem_ab = abelian and (n == 1 or (is_prime(exponent) and exponent == min(
         o for o in orders if o > 1)))
-    base = None
-    if n > 1:
-        q = min(q for q in range(2, n + 1) if n % q == 0)
-        if p_part(n, q) == n:
-            base = q
+    primes = prime_divisors(n)
     return StructureFlags(order=n, abelian=abelian, cyclic=cyclic,
                           elementary_abelian=elem_ab, exponent=exponent,
                           involutions=sum(1 for o in orders if o == 2),
-                          prime_power_base=base)
+                          prime_power_base=primes[0] if len(primes) == 1
+                          else None)
 
 
 def subgroup_label(H) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .groups import Group, Subgroup, p_part
+from .groups import Group, Subgroup, prime_divisors
 from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = [
@@ -82,12 +82,8 @@ def all_subgroups(H, *, limits: Limits = DEFAULT_LIMITS) -> SubgroupLattice:
 
 def _walk_within(H, anchor: Group, members: tuple[int, ...], cap: int):
     """The lattice of H, or ``cap`` when the walk passes it."""
-    if isinstance(H, Group):
-        gens = tuple(H.index_of(g) for g in H.generators)
-    else:
-        gens = H.generating_indices()
     try:
-        return _walk_lattice(anchor, members, gens, cap)
+        return _walk_lattice(anchor, members, H.generating_indices(), cap)
     except CapacityError:
         return cap
 
@@ -144,7 +140,7 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
         while y != 0:
             powers.append(y)
             y = row_x[y]
-        if not _is_prime_power(len(powers)):
+        if len(prime_divisors(len(powers))) != 1:
             continue
         key = tuple(sorted(powers))
         c = number.setdefault(key, len(cyclics))
@@ -201,11 +197,6 @@ class _ConjRows(dict):
         return row
 
 
-def _is_prime_power(n: int) -> bool:
-    q = next(q for q in range(2, n + 1) if n % q == 0)
-    return p_part(n, q) == n
-
-
 def _mark_orbit(tried: set, x: int, rows: list[dict[int, int]],
                 cyclic_of: dict[int, int]) -> None:
     """Mark the cyclic subgroups conjugate to <x> under ``rows`` as tried."""
@@ -257,8 +248,7 @@ def normal_subgroups(G: Group, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Subg
     if not isinstance(G, Group):
         raise ValidationError("normal_subgroups expects a Group")
     lattice = all_subgroups(G, limits=limits).all
-    gens = [G.index_of(g) for g in G.generators]
-    rows = G.conjugates(range(G.order))[gens].tolist()
+    rows = G.conjugates(range(G.order))[list(G.generating_indices())].tolist()
     return tuple(H for H in lattice if _is_normal(rows, H))
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import EngineError, ValidationError
 from .fusion import (FusionContext, PredicateReport, _closed_into,
                      closure_predicate)
-from .groups import (Group, Subgroup, _mask, core, is_prime, normalizer,
-                     p_part, sylow_subgroup)
+from .groups import (Group, Subgroup, _as_index_array, _mask, core, is_prime,
+                     normalizer, p_part, prime_divisors, sylow_subgroup)
 from .lattice import all_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
@@ -54,10 +54,10 @@ def _check_triple(G: Group, S: Subgroup, H: Subgroup) -> None:
     if not H.index_set <= S.index_set:
         raise ValidationError("H must be contained in S")
     if S.order > 1:
-        flags_order = S.order
-        q = min(q for q in range(2, flags_order + 1) if flags_order % q == 0)
-        if p_part(flags_order, q) != flags_order or not is_prime(q):
+        primes = prime_divisors(S.order)
+        if len(primes) != 1:
             raise ValidationError("S must be a p-group")
+        q = primes[0]
         if p_part(G.order, q) != S.order:
             raise ValidationError(
                 f"S has order {S.order} but the Sylow {q}-subgroups of this "
@@ -76,8 +76,7 @@ def group_predicate(G: Group, S: Subgroup, H: Subgroup, kind: str, *,
 
 def _distinct_conjugates(G: Group, H: Subgroup):
     """(image index tuple, least conjugator index) for every G-conjugate of H."""
-    idx = np.fromiter(H.indices, dtype=np.int64, count=H.order)
-    M = np.sort(G.conjugates(idx), axis=1).tolist()
+    M = np.sort(G.conjugates(_as_index_array(H)), axis=1).tolist()
     seen: dict[tuple[int, ...], int] = {}
     for g, row in enumerate(M):
         key = tuple(row)

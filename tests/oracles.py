@@ -4,19 +4,19 @@ Everything here works on raw permutation tuples with no help from the
 package's Group/Subgroup machinery, so an agreement between an oracle and
 the engine is evidence, not circularity.  These are deliberately slow and
 only meant for desk-scale groups.  The exceptions are ``mul_table_oracle``,
-``conj_table_oracle``, ``walk_lattice_oracle`` and ``fusion_normal_oracle``:
-they are the engine's earlier, slower constructions, kept to check the
-faster ones that replaced them.
+``conj_table_oracle``, ``walk_lattice_oracle``, ``fusion_normal_oracle`` and
+``quotient_group_oracle``: they are the engine's earlier, slower
+constructions, kept to check the faster ones that replaced them.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from fusionsys.errors import CapacityError, EngineError
-from fusionsys.groups import Subgroup
+from fusionsys.errors import CapacityError, EngineError, ValidationError
+from fusionsys.groups import Group, GroupMap, Subgroup
 from fusionsys.lattice import SubgroupLattice
-from fusionsys.perms import compose, conjugate, identity, inverse
+from fusionsys.perms import compose, conjugate, cycle_string, identity, inverse
 
 
 def naive_closure(degree, gens):
@@ -330,12 +330,12 @@ def fusion_normal_oracle(ctx, Q):
     G = ctx.G
     if ctx._normalizer_in_S(Q).order != ctx.S.order:
         return False
-    q_idx = ctx._idx(Q)
+    q_idx = np.array(Q.indices)
     norm_Q = (np.sort(G.conjugates(q_idx), axis=1)
               == q_idx[np.newaxis, :]).all(axis=1)
     mul = G.mul_rows
     for P in ctx.lattice_S.all:
-        M = G.conjugates(ctx._idx(P))
+        M = G.conjugates(P.indices)
         rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
         lists = M[rows].tolist()
         buckets: dict[tuple[int, ...], list[int]] = {}
@@ -364,3 +364,46 @@ def fusion_normal_oracle(ctx, Q):
                 raise EngineError("extension landed outside the target "
                                   "product; conjugation bookkeeping is wrong")
     return True
+
+
+def quotient_group_oracle(G, N, limits):
+    """``G/N`` on right cosets with its projection, one element at a time
+    through ``mul_rows`` and tuples; the reference for
+    ``groups.quotient_group``."""
+    n_idx = np.array(N.indices)
+    conj = G.conjugates(n_idx)
+    for g in G.generators:
+        img = np.sort(conj[G.index_of(g)])
+        if not (img == n_idx).all():
+            raise ValidationError(
+                f"subgroup is not normal: conjugation by {cycle_string(g)} "
+                f"moves it")
+    index = G.order // N.order
+    if index > limits.degree_cap:
+        raise CapacityError(
+            f"quotient degree {index} exceeds the cap of {limits.degree_cap}",
+            cap_name="degree_cap", cap_value=limits.degree_cap, reached=index)
+    mul = G.mul_rows
+    coset_of = [-1] * G.order
+    reps = []
+    for i in range(G.order):
+        if coset_of[i] == -1:
+            c = len(reps)
+            reps.append(i)
+            for n in N.indices:
+                coset_of[mul[n][i]] = c
+    # the permutation each x in G induces on the coset space
+    images = {}
+    for xi, x in enumerate(G.elements):
+        images[x] = tuple(coset_of[mul[r][xi]] for r in reps)
+    quot_elements = tuple(sorted(set(images.values())))
+    gen_imgs = []
+    for g in G.generators:
+        img = images[g]
+        if img not in gen_imgs and img != identity(index):
+            gen_imgs.append(img)
+    Q = Group(index, tuple(gen_imgs), quot_elements)
+    proj = GroupMap(source=G, target=Q, assignment=images)
+    if tuple(sorted(proj.kernel_members())) != N.members:
+        raise ValidationError("projection kernel does not match N")
+    return Q, proj

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fusionsys import (CORPUS, CapacityError, EngineError, Group, Limits,
-                       Subgroup, ValidationError, all_subgroups, alternating,
-                       builtin_group, cyclic, heisenberg, centralizer,
-                       conjugate_subgroup, core, generate_group, normalizer,
-                       prime_divisors, quotient_group, structure_flags,
+from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, EngineError,
+                       Group, Limits, Subgroup, ValidationError, all_subgroups,
+                       alternating, builtin_group, cyclic, heisenberg,
+                       centralizer, conjugate_subgroup, core, generate_group,
+                       normal_subgroups, normalizer, prime_divisors,
+                       quotient_group, structure_flags,
                        subgroup_label, subgroup_product, sylow_subgroup,
                        symmetric)
 from fusionsys.perms import (compose, from_cycles, identity, inverse,
@@ -396,3 +397,72 @@ def test_prime_divisors():
     assert prime_divisors(2) == [2]
     assert prime_divisors(2520) == [2, 3, 5, 7]
     assert prime_divisors(2 * 101 ** 2) == [2, 101]
+
+
+def _assert_quotients_agree(G, N, limits):
+    Q, proj = quotient_group(G, N, limits=limits)
+    Q_ref, proj_ref = oracles.quotient_group_oracle(G, N, limits)
+    assert Q.degree == Q_ref.degree
+    assert Q.elements == Q_ref.elements
+    assert Q.generators == Q_ref.generators
+    assert list(proj.assignment.items()) == list(proj_ref.assignment.items())
+    return Q
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[e.name for e in CORPUS])
+def test_quotients_match_oracle(entry):
+    G = builtin_group(entry.spec)
+    wide = DEFAULT_LIMITS.scaled(degree_cap=G.order)
+    for N in normal_subgroups(G):
+        _assert_quotients_agree(G, N, wide)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_quotients_of_c300_match_oracle(order):
+    G = _cycle_300()
+    shift = tuple((x + 300 // order) % 300 for x in range(300))
+    N = Subgroup(G, G.closure_indices([G.index_of(shift)]))
+    assert N.order == order
+    Q = _assert_quotients_agree(G, N, _DEGREE_300)
+    # more than 256 points do not fit a byte
+    assert Q.points.dtype.itemsize == (2 if Q.degree > 256 else 1)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[e.name for e in CORPUS])
+def test_normalizer_as_group_keeps_parent_order(entry):
+    G = builtin_group(entry.spec)
+    for p in prime_divisors(G.order):
+        N = normalizer(G, sylow_subgroup(G, p))
+        Ng = N.as_group()
+        assert Ng.order == N.order
+        for i in range(N.order):
+            assert Ng.elements[i] == G.elements[N.indices[i]]
+
+
+def _assert_not_member(G, perm):
+    with pytest.raises(ValidationError):
+        G.index_of(perm)
+    assert perm not in G
+    assert not G.full_subgroup().contains_perm(perm)
+    with pytest.raises(ValidationError):
+        Subgroup(G, [perm])
+
+
+def test_membership_rejects_what_is_not_an_element():
+    G = S4()  # points are one byte each
+    assert G.points.dtype.itemsize == 1
+    for perm in [(0, 1, 2), (0, 1, 2, 3, 4), (-1, 1, 2, 3), (1, 0, 2, -4),
+                 (0, 0, 1, 2), (256 + 1, 0, 2, 3), (1, 256 + 0, 2, 3)]:
+        _assert_not_member(G, perm)
+    A4 = alternating(4)
+    transposition = from_cycles(4, [[0, 1]])
+    _assert_not_member(A4, transposition)
+    assert transposition in G
+    assert not sylow_subgroup(G, 3).contains_perm(from_cycles(4, [[0, 1, 3]]))
+    C = _cycle_300()  # points are two bytes each
+    assert C.points.dtype.itemsize == 2
+    shift = tuple((x + 1) % 300 for x in range(300))
+    assert shift in C
+    _assert_not_member(C, (shift[0] + 65536,) + shift[1:])
+    _assert_not_member(C, shift[:-1])
+    _assert_not_member(C, (shift[1], shift[0]) + shift[2:])
