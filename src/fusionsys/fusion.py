@@ -5,10 +5,13 @@ conjugation data between subgroups of S.  Objects are subgroups of S;
 morphisms P -> Q are the distinct pointwise maps ``x -> x^g`` with g in G and
 ``P^g <= Q``, each carrying the least inducing element as a witness.
 
-Everything is computed by vectorized transporter scans over the parent
-group's conjugation table, and every reported witness is the least one in
-the group's lexicographic element order.  Closure predicates return a
-:class:`PredicateReport`, the verdict type the normality predicates share.
+The context reads G's conjugation through the two scans of ``groups``:
+``conjugate_images`` (fusion classes, morphisms, automizer keys, weak
+closure) and ``fixers`` (normalizers and centralizers in S); only the
+elementwise strong-closure scan reads ``Group.conjugates`` itself.  Every
+reported witness is the least one in the group's lexicographic element
+order.  Closure predicates return a :class:`PredicateReport`, the verdict
+type the normality predicates share.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import numpy as np
 from .classify import has_strongly_p_embedded
 from .errors import (EngineError, PreconditionError, UnsupportedCaseError,
                      ValidationError)
-from .groups import (Group, GroupMap, Subgroup, _as_index_array, _mask, _Memo,
-                     _moved_conjugate_into, _quotient, centralizer, core,
-                     is_prime, normalizer, p_part, quotient_group,
-                     subgroup_product, sylow_subgroup)
+from .groups import (Group, GroupMap, Subgroup, _mask, _Memo, _quotient,
+                     centralizer, conjugate_images, core, fixers, is_prime,
+                     normalizer, p_part, quotient_group, subgroup_product,
+                     sylow_subgroup)
 from .lattice import SubgroupLattice, all_subgroups, cyclic_quotient
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -94,56 +97,11 @@ class FusionContext(_Memo):
         return (f"<FusionContext |G|={self.G.order} |S|={self.S.order} "
                 f"p={self.p}>")
 
-    # -- internal scans ------------------------------------------------------
-
-    def _maps_into(self, P: Subgroup, target_mask: np.ndarray,
-                   conjugator_rows: np.ndarray | None = None):
-        """Distinct conjugation maps of P into the masked target.
-
-        Returns (keys, gs): parallel lists where ``keys[i]`` is the image
-        index tuple aligned to P.indices and ``gs[i]`` the least inducing
-        element index.  Conjugators default to all of G; pass a row selection
-        to restrict (e.g. to S).
-        """
-        M = self.G.conjugates(_as_index_array(P))
-        if conjugator_rows is not None:
-            M = M[conjugator_rows]
-        ok = target_mask[M].all(axis=1)
-        rows = np.flatnonzero(ok)
-        keys: list[tuple[int, ...]] = []
-        gs: list[int] = []
-        seen: dict[tuple[int, ...], int] = {}
-        lists = M[rows].tolist()
-        for pos, r in enumerate(rows.tolist()):
-            key = tuple(lists[pos])
-            if key not in seen:
-                seen[key] = r
-                keys.append(key)
-                gs.append(r if conjugator_rows is None
-                          else int(conjugator_rows[r]))
-        return keys, gs
-
-    def _aut_keys(self, K: Subgroup):
-        """Memoized distinct automorphism assignments of K with least
-        inducers."""
-        return self.memo(("aut_keys", K.indices),
-                         lambda: self._maps_into(K, _mask(self.G, K.indices)))
-
-    def _normalizer_in_S(self, Q: Subgroup) -> Subgroup:
-        s_idx = _as_index_array(self.S)
-        q_idx = _as_index_array(Q)
-        images = np.sort(self.G.conjugates(q_idx)[s_idx], axis=1)
-        ok = (images == q_idx[np.newaxis, :]).all(axis=1)
-        return Subgroup._from_closed(
-            self.G, tuple(int(s_idx[i]) for i in np.flatnonzero(ok)))
-
-    def _centralizer_in_S_inside(self, Q: Subgroup) -> bool:
-        """Whether C_S(Q) <= Q (the centric condition for one class member)."""
-        s_idx = _as_index_array(self.S)
-        q_idx = _as_index_array(Q)
-        fixed = (self.G.conjugates(q_idx)[s_idx]
-                 == q_idx[np.newaxis, :]).all(axis=1)
-        return all(int(s_idx[i]) in Q.index_set for i in np.flatnonzero(fixed))
+    def _aut_keys(self, K: Subgroup) -> dict[tuple[int, ...], int]:
+        """The distinct automorphisms of K induced by G, as the images of
+        ``K.indices`` in order, each mapped to its least inducer."""
+        return self.memo(("aut_keys", K.indices), lambda: conjugate_images(
+            self.G, K, _mask(self.G, K.indices), aligned=True))
 
 
 @dataclass(frozen=True)
@@ -204,9 +162,7 @@ def fusion_class(ctx: FusionContext, P: Subgroup) -> FusionClass:
     ctx.check_object(P)
 
     def compute() -> FusionClass:
-        M = ctx.G.conjugates(_as_index_array(P))
-        rows = np.flatnonzero(ctx.S_mask[M].all(axis=1))
-        imgs = sorted(set(map(tuple, np.sort(M[rows], axis=1).tolist())))
+        imgs = sorted(conjugate_images(ctx.G, P, ctx.S_mask))
         members = tuple(Subgroup._from_closed(ctx.G, img) for img in imgs)
         # imgs is sorted, so members[0] is the least index tuple: every
         # subgroup of the class yields the same canonical representative.
@@ -223,10 +179,10 @@ def morphisms(ctx: FusionContext, P: Subgroup, Q: Subgroup) -> tuple[GroupMap, .
     """
     ctx.check_object(P)
     ctx.check_object(Q)
-    keys, gs = ctx._maps_into(P, _mask(ctx.G, Q.indices))
     els = ctx.G.elements
     out = []
-    for key, g in zip(keys, gs):
+    for key, g in conjugate_images(ctx.G, P, _mask(ctx.G, Q.indices),
+                                   aligned=True).items():
         assignment = {els[i]: els[j] for i, j in zip(P.indices, key)}
         out.append(GroupMap(source=P, target=Q, assignment=assignment,
                             inducing_element=els[g]))
@@ -272,12 +228,15 @@ def fusion_predicate(ctx: FusionContext, P: Subgroup, kind: str) -> bool:
 
 def _fusion_predicate(ctx: FusionContext, P: Subgroup, kind: str) -> bool:
     if kind == "fully_normalized":
-        mine = ctx._normalizer_in_S(P).order
-        return all(ctx._normalizer_in_S(Q).order <= mine
+        # |N_S(P)| is largest in its class
+        mine = len(fixers(ctx.G, P, among=ctx.S.indices))
+        return all(len(fixers(ctx.G, Q, among=ctx.S.indices)) <= mine
                    for Q in fusion_class(ctx, P).members)
     if kind == "centric":
-        return all(ctx._centralizer_in_S_inside(Q)
-                   for Q in fusion_class(ctx, P).members)
+        # C_S(Q) <= Q for every member Q of the class
+        return all(Q.index_set.issuperset(fixers(
+            ctx.G, Q, among=ctx.S.indices, pointwise=True))
+            for Q in fusion_class(ctx, P).members)
     if kind == "radical":
         out = automizer(ctx, P).out
         return core(out, sylow_subgroup(out, ctx.p)).order == 1
@@ -323,14 +282,14 @@ def _closed_into(G: Group, H: Subgroup, mask: np.ndarray,
                  kind: str) -> PredicateReport:
     """Every conjugate of H inside the boolean ``mask`` must be H itself;
     on failure the witness is the least conjugator and its image."""
-    moved = _moved_conjugate_into(G, H, mask)
-    if moved is None:
-        return PredicateReport(kind=kind, holds=True, witness=None)
-    g, img = moved
-    return PredicateReport(kind=kind, holds=False, witness={
-        "conjugator": G.elements[g],
-        "image": Subgroup._from_closed(G, img),
-    })
+    # images come in increasing g, each with its least conjugator
+    for img, g in conjugate_images(G, H, mask).items():
+        if img != H.indices:
+            return PredicateReport(kind=kind, holds=False, witness={
+                "conjugator": G.elements[g],
+                "image": Subgroup._from_closed(G, img),
+            })
+    return PredicateReport(kind=kind, holds=True, witness=None)
 
 
 def _closure_predicate(ctx: FusionContext, Q: Subgroup,
@@ -339,7 +298,7 @@ def _closure_predicate(ctx: FusionContext, Q: Subgroup,
     els = G.elements
 
     if kind == "strongly_closed":
-        M = G.conjugates(_as_index_array(Q))
+        M = G.conjugates(Q.indices)
         viol = ctx.S_mask[M] & ~_mask(G, Q.indices)[M]
         bad_rows = np.flatnonzero(viol.any(axis=1))
         if bad_rows.size:
@@ -358,10 +317,8 @@ def _closure_predicate(ctx: FusionContext, Q: Subgroup,
     # semi_invariant: Q must be sent to itself by every morphism of every
     # overgroup K with Q <= K <= S
     for K in ctx.lattice_S.over(Q):
-        keys, gs = ctx._aut_keys(K)
-        pairs = sorted(zip(gs, keys))
         pos = {k: c for c, k in enumerate(K.indices)}
-        for g, key in pairs:
+        for key, g in ctx._aut_keys(K).items():  # in increasing g
             img = tuple(sorted(key[pos[i]] for i in Q.indices))
             if img != Q.indices:
                 return PredicateReport(kind=kind, holds=False, witness={
@@ -388,17 +345,16 @@ def is_fusion_normal(ctx: FusionContext, Q: Subgroup) -> bool:
 
 
 def _normal_criterion(ctx: FusionContext, Q: Subgroup) -> bool:
-    if ctx._normalizer_in_S(Q).order != ctx.S.order:
+    if len(fixers(ctx.G, Q, among=ctx.S.indices)) != ctx.S.order:
         return False
     if not closure_predicate(ctx, Q, "strongly_closed").holds:
         return False
     for R in essential_star(ctx):
         if not Q.index_set <= R.index_set:
             return False
-        keys, _ = ctx._aut_keys(R)
         pos = {k: c for c, k in enumerate(R.indices)}
         cols = [pos[i] for i in Q.indices]
-        for key in keys:
+        for key in ctx._aut_keys(R):
             if frozenset(key[c] for c in cols) != Q.index_set:
                 return False
     return True
@@ -431,7 +387,7 @@ def normalizer_system(ctx: FusionContext, Q: Subgroup) -> FusionContext:
             "class representative of maximal normalizer order from "
             "fusion_class(...)")
     NG = normalizer(ctx.G, Q)
-    NS = ctx._normalizer_in_S(Q)
+    NS = Subgroup._from_closed(ctx.G, fixers(ctx.G, Q, among=ctx.S.indices))
     if p_part(NG.order, ctx.p) != NS.order:
         raise EngineError("N_S(Q) is not Sylow in N_G(Q) although Q is fully "
                           "normalized; fusion bookkeeping is wrong")
@@ -544,10 +500,10 @@ def sylow_controls_fusion(ctx: FusionContext) -> bool:
     Compared object by object: for each P <= S the set of distinct
     assignments P -> S induced by G must equal the set induced by S alone.
     """
-    s_rows = _as_index_array(ctx.S)
     for P in ctx.lattice_S.all:
-        keys_G, _ = ctx._maps_into(P, ctx.S_mask)
-        keys_S, _ = ctx._maps_into(P, ctx.S_mask, conjugator_rows=s_rows)
-        if set(keys_G) != set(keys_S):
+        by_G = conjugate_images(ctx.G, P, ctx.S_mask, aligned=True)
+        by_S = conjugate_images(ctx.G, P, ctx.S_mask, among=ctx.S.indices,
+                                aligned=True)
+        if by_G.keys() != by_S.keys():
             return False
     return True

@@ -17,21 +17,28 @@ and ``quotient_group`` builds its quotient from the rows of the coset
 action.
 
 Multiplication, inversion and conjugation index tables are built lazily as
-numpy arrays; the hot subgroup-level scans (normalizers, transporters, cores)
-are vectorized over them.  The multiplication table is built by a
-breadth-first walk of the right Cayley graph over the generators: the
-generators' rows come from one lookup, and each level of the walk is filled
-by batched gathers of rows already built.  Inverses are found by one lookup
-of the inverted permutations, and element orders are the lcm of cycle
-lengths computed for all elements at once.  The table's Python-list view,
-``mul_rows``, builds each row on first use, so a query that touches a few
-subgroups of a large group never boxes the whole n*n table.  Conjugation is
-read through ``Group.conjugates``, which builds the column of a member (its
-conjugates under every element) the first time that member is asked for:
-fusion work inside a Sylow subgroup of a large group builds the columns of
-its members only, never the n*n conjugation table.  Tables of 4 MiB or
-more live in anonymous mappings of their own (``_table_array``), so freeing
-a large group returns its tables to the OS.
+numpy arrays.  The multiplication table is built by a breadth-first walk of
+the right Cayley graph over the generators: the generators' rows come from
+one lookup, and each level of the walk is filled by batched gathers of rows
+already built.  Inverses are found by one lookup of the inverted
+permutations, and element orders are the lcm of cycle lengths computed for
+all elements at once.  The table's Python-list view, ``mul_rows``, builds
+each row on first use, so a query that touches a few subgroups of a large
+group never boxes the whole n*n table.  Tables of 4 MiB or more live in
+anonymous mappings of their own (``_table_array``), so freeing a large
+group returns its tables to the OS.
+
+Conjugation lives here, in one store and two scans.  ``Group.conjugates``
+keeps one member-major block, whose row for a member (its conjugates under
+every element) is built the first time that member is asked for: fusion
+work inside a Sylow subgroup of a large group builds the rows of its
+members only, never the n*n conjugation table.  ``conjugate_images`` lists
+the distinct conjugates of a subgroup, or the distinct maps conjugation
+induces on it, with their least conjugators; ``fixers`` lists the elements
+that normalize or centralize a subgroup.  Normalizers, centralizers, fusion
+classes, morphisms, automizer keys and the weak-closure predicates read
+conjugation through these two scans; only elementwise scans, such as strong
+closure and cores, read ``conjugates`` directly.
 
 Every other answer about a group (its subgroup lattices, normalizers) is
 kept in the group's one memo store, ``Group.memo``.
@@ -140,9 +147,8 @@ class Group(_Memo):
                                   "construct groups through generate_group")
         self._mul: np.ndarray | None = None
         self._inv: np.ndarray | None = None
-        # conjugation columns: _conj_block[:, _conj_pos[i]] is the column of
-        # member i; once all n exist the block is in element order (_conj)
-        self._conj: np.ndarray | None = None
+        # conjugates of members: row _conj_pos[i] of _conj_block holds those
+        # of member i; _conj_count rows are filled
         self._conj_block: np.ndarray | None = None
         self._conj_pos: np.ndarray | None = None
         self._conj_count = 0
@@ -288,70 +294,62 @@ class Group(_Memo):
     def conj_table(self) -> np.ndarray:
         """``conj_table[g, i]`` is the index of ``elements[g]^-1 *
         elements[i] * elements[g]``: ``conjugates(range(n))``, which builds
-        every column.  Library code reads ``conjugates`` instead."""
+        the conjugates of every member.  Library code reads ``conjugates``
+        instead."""
         return self.conjugates(range(self.order))
 
     def conjugates(self, indices) -> np.ndarray:
         """The (n, k) array whose entry ``[g, c]`` is the index of
         ``elements[g]^-1 * elements[indices[c]] * elements[g]``.
 
-        The column of a member is built the first time it is asked for, by
-        one gather ``mul[inv[g], mul[i, g]]`` over all g, into a compact
-        block that grows with the members requested.  Once the block has
-        room for all n columns they are all built, put in element order and
-        read directly from then on.
+        The conjugates of a member under every g are built the first time
+        that member is asked for, by one gather ``mul[inv, mul[i]]``, into a
+        member-major block that holds one row per member built and doubles
+        when it is full; a request reads its members' rows, transposed.
+        Fusion work inside a Sylow subgroup of a large group builds the rows
+        of its members only, never the n*n table.  Subgroup-level scans read
+        the block through ``conjugate_images`` and ``fixers``.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        if self._conj is None:
-            with self._conj_lock:  # threads may share one Group
-                if self._conj is None:
-                    cols = self._conj_columns(idx)
-                    if self._conj is None:
-                        return self._conj_block[:, cols]
-        return self._conj[:, idx]
+        with self._conj_lock:  # threads may share one Group
+            rows = self._conj_rows(idx)
+            block = self._conj_block
+        # filled rows are never rewritten, and growth copies them
+        return block[rows].T
 
-    def _conj_columns(self, idx: np.ndarray) -> np.ndarray:
-        """Block positions of the columns of ``idx``, building those that
-        are missing; the caller holds ``_conj_lock``."""
+    def _conj_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Block rows of the members ``idx``, building those that are
+        missing; the caller holds ``_conj_lock``."""
         n = self.order
         if self._conj_pos is None:
             self._conj_pos = np.full(n, -1, dtype=np.int64)
-            self._conj_block = _table_array((n, min(n, _FIRST_COLUMNS)),
+            self._conj_block = _table_array((min(n, _FIRST_ROWS), n),
                                             self._dtype())
         pos = self._conj_pos
-        cols = pos[idx]
-        if (cols >= 0).all():
-            return cols
+        rows = pos[idx]
+        if (rows >= 0).all():
+            return rows
         # a negative index names the same member as in numpy indexing;
         # np.unique would import numpy.ma
         missing = np.zeros(n, dtype=bool)
-        missing[idx[cols < 0]] = True
-        start = self._conj_count
-        wanted = start + int(np.count_nonzero(missing))
-        block = self._conj_block
-        if block.shape[1] < wanted:
-            grown = _table_array((n, min(n, 2 * wanted)), self._dtype())
-            grown[:, :start] = block[:, :start]
-            block = self._conj_block = grown
-        if block.shape[1] == n:
-            missing = pos < 0  # room for the whole table: fill all of it
+        missing[idx[rows < 0]] = True
         need = np.flatnonzero(missing)
+        start = self._conj_count
         stop = start + need.size
+        block = self._conj_block
+        if len(block) < stop:
+            grown = _table_array((min(n, 2 * stop), n), self._dtype())
+            grown[:start] = block[:start]
+            block = self._conj_block = grown
         mul = self.mul_table
-        inv = self.inv_vector[np.newaxis, :]
-        # bound the (columns x n) index temporaries of one gather
+        inv = self.inv_vector
+        # bound the (members x n) index temporaries of one gather
         step = max(1, _GATHER_ELEMENTS // n)
         for s in range(0, need.size, step):
             part = need[s:s + step]
-            block[:, start + s:start + s + part.size] = mul[inv, mul[part]].T
+            block[start + s:start + s + part.size] = mul[inv, mul[part]]
         pos[need] = np.arange(start, stop)
         self._conj_count = stop
-        if stop == n:
-            # column pos[i] holds member i: permute in bounded row slabs
-            for r in range(0, n, step):
-                block[r:r + step] = block[r:r + step][:, pos]
-            self._conj = block
-            self._conj_block = self._conj_pos = None
         return pos[idx]
 
     @property
@@ -415,16 +413,15 @@ class Group(_Memo):
         return tuple(sorted(members))
 
 
-# elements per gather when conjugation columns are built: the index arrays
-# numpy makes for one gather then stay near 8 MB
+# elements per gather when conjugates of members are built: the index
+# arrays numpy makes for one gather then stay near 8 MB
 _GATHER_ELEMENTS = 1 << 20
 # rows per gather when the multiplication table is filled: a slab of about
 # this many entries stays in cache (np.take over a larger block is slower)
 _SLAB_ELEMENTS = 1 << 16
-# width of the first block of conjugation columns: a group of at most this
-# order gets its whole conjugation table on the first request, and a large
-# group's first block stays small (80 KB for A7)
-_FIRST_COLUMNS = 16
+# rows in the first block of conjugates: a large group's first block stays
+# small (80 KB for A7)
+_FIRST_ROWS = 16
 # tables of at least this many bytes (A7's 12 MB, not S6's 1 MB) get an
 # anonymous mapping of their own.  A smaller table can move peak RSS by no
 # more than its size, and a mapping costs fresh zeroed pages on every build
@@ -628,10 +625,6 @@ class GroupMap:
             raise ValidationError(
                 f"{cycle_string(perm)} is not in the domain of this map") from None
 
-    def assignment_key(self) -> tuple[tuple[Perm, Perm], ...]:
-        """Canonical form: (source, image) pairs sorted by source."""
-        return tuple(sorted(self.assignment.items()))
-
     def is_homomorphism(self) -> bool:
         items = list(self.assignment.items())
         amap = self.assignment
@@ -717,20 +710,51 @@ def _mask(G: Group, indices) -> np.ndarray:
     return m
 
 
-def _moved_conjugate_into(G: Group, H: Subgroup, region: np.ndarray
-                          ) -> tuple[int, tuple[int, ...]] | None:
-    """The least g (by index) with ``H^g`` inside the boolean mask
-    ``region`` and ``H^g != H``, with the indices of ``H^g``; None if every
-    conjugate of H inside ``region`` is H itself."""
-    idx = _as_index_array(H)
-    M = G.conjugates(idx)
-    rows = np.flatnonzero(region[M].all(axis=1))
-    imgs = np.sort(M[rows], axis=1)
-    moved = np.flatnonzero((imgs != idx[np.newaxis, :]).any(axis=1))
-    if not moved.size:
-        return None
-    r = int(moved[0])
-    return int(rows[r]), tuple(int(v) for v in imgs[r])
+def _conjugator_rows(G: Group, H: Subgroup, among
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugates of H's members under each g in ``among`` (default:
+    every element), one row per g, and the g's."""
+    M = G.conjugates(H.indices)
+    if among is None:
+        return M, np.arange(G.order)
+    gs = np.asarray(among, dtype=np.int64)
+    return M[gs], gs
+
+
+def conjugate_images(G: Group, H: Subgroup, region: np.ndarray | None = None,
+                     among=None, aligned: bool = False
+                     ) -> dict[tuple[int, ...], int]:
+    """The distinct conjugates ``H^g`` inside the boolean mask ``region``
+    (default anywhere), for g in ``among`` (element indices, default every
+    element in increasing order), each mapped to the first g of ``among``
+    that gives it, and listed in the order of those g.  A key is the sorted
+    index tuple of ``H^g``, or with ``aligned`` the images of ``H.indices``
+    in their order, the map ``x -> x^g``."""
+    M, gs = _conjugator_rows(G, H, among)
+    if region is not None:
+        inside = region[M].all(axis=1)
+        M, gs = M[inside], gs[inside]
+    M = np.ascontiguousarray(M if aligned else np.sort(M, axis=1))
+    # a stable sort of the rows' bytes puts equal rows together in their
+    # order of position: the first row of each run has the first g
+    order = M.view(np.dtype((np.void, M.shape[1] * M.itemsize))
+                   ).ravel().argsort(kind="stable")
+    ranked = M[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.sort(order[first])
+    return dict(zip(map(tuple, M[keep].tolist()), gs[keep].tolist()))
+
+
+def fixers(G: Group, H: Subgroup, among=None, pointwise: bool = False
+           ) -> tuple[int, ...]:
+    """The g in ``among`` (element indices, default every element) with
+    ``H^g = H``, or with ``pointwise`` those with ``x^g = x`` for every x in
+    H, in the order of ``among``."""
+    M, gs = _conjugator_rows(G, H, among)
+    if not pointwise:
+        M = np.sort(M, axis=1)
+    return tuple(gs[(M == _as_index_array(H)).all(axis=1)].tolist())
 
 
 def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
@@ -742,25 +766,16 @@ def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
-    """``N_G(H)``, computed by a vectorized conjugation scan and memoized
-    on G."""
+    """``N_G(H)``, memoized on G."""
     _check_anchor(G, H)
-
-    def scan() -> Subgroup:
-        idx = _as_index_array(H)
-        images = np.sort(G.conjugates(idx), axis=1)
-        ok = (images == idx[np.newaxis, :]).all(axis=1)
-        return Subgroup._from_closed(
-            G, tuple(int(i) for i in np.flatnonzero(ok)))
-    return G.memo(("normalizer", H.indices), scan)
+    return G.memo(("normalizer", H.indices),
+                  lambda: Subgroup._from_closed(G, fixers(G, H)))
 
 
 def centralizer(G: Group, H: Subgroup) -> Subgroup:
     """``C_G(H)``: everything that fixes each member of H under conjugation."""
     _check_anchor(G, H)
-    idx = _as_index_array(H)
-    ok = (G.conjugates(idx) == idx[np.newaxis, :]).all(axis=1)
-    return Subgroup._from_closed(G, tuple(int(i) for i in np.flatnonzero(ok)))
+    return Subgroup._from_closed(G, fixers(G, H, pointwise=True))
 
 
 def core(G: Group, H: Subgroup) -> Subgroup:
@@ -848,11 +863,12 @@ def _quotient(G: Group, N: Subgroup, limits: Limits
     _check_anchor(G, N)
     n_idx = _as_index_array(N)
     gens = list(G.generating_indices())
-    moved = (np.sort(G.conjugates(n_idx)[gens], axis=1) != n_idx).any(axis=1)
-    if moved.any():
+    kept = fixers(G, N, among=gens)
+    moved = [j for j, g in enumerate(gens) if g not in kept]
+    if moved:
         raise ValidationError(
             "subgroup is not normal: conjugation by "
-            f"{cycle_string(G.generators[int(moved.argmax())])} moves it")
+            f"{cycle_string(G.generators[moved[0]])} moves it")
     index = G.order // N.order
     if index > limits.degree_cap:
         raise CapacityError(

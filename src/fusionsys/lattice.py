@@ -244,12 +244,17 @@ def _is_normal(rows: list[list[int]], H: Subgroup) -> bool:
 
 
 def normal_subgroups(G: Group, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
-    """Normal subgroups of G, sorted by (order, indices)."""
+    """Normal subgroups of G, sorted by (order, indices), memoized on G."""
     if not isinstance(G, Group):
         raise ValidationError("normal_subgroups expects a Group")
+    # first, so that a cap below the lattice's size raises on a memo hit too
     lattice = all_subgroups(G, limits=limits).all
-    rows = G.conjugates(range(G.order))[list(G.generating_indices())].tolist()
-    return tuple(H for H in lattice if _is_normal(rows, H))
+
+    def scan() -> tuple[Subgroup, ...]:
+        rows = G.conjugates(range(G.order))[
+            list(G.generating_indices())].tolist()
+        return tuple(H for H in lattice if _is_normal(rows, H))
+    return G.memo(("normal_subgroups",), scan)
 
 
 def maximal_subgroups(H, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:

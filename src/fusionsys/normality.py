@@ -26,12 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EngineError, ValidationError
 from .fusion import (FusionContext, PredicateReport, _closed_into,
                      closure_predicate)
-from .groups import (Group, Subgroup, _as_index_array, _mask, core, is_prime,
+from .groups import (Group, Subgroup, _mask, conjugate_images, core, is_prime,
                      normalizer, p_part, prime_divisors, sylow_subgroup)
 from .lattice import all_subgroups
 from .limits import DEFAULT_LIMITS, Limits
@@ -74,17 +72,6 @@ def group_predicate(G: Group, S: Subgroup, H: Subgroup, kind: str, *,
     return _DISPATCH[kind](G, S, H, limits)
 
 
-def _distinct_conjugates(G: Group, H: Subgroup):
-    """(image index tuple, least conjugator index) for every G-conjugate of H."""
-    M = np.sort(G.conjugates(_as_index_array(H)), axis=1).tolist()
-    seen: dict[tuple[int, ...], int] = {}
-    for g, row in enumerate(M):
-        key = tuple(row)
-        if key not in seen:
-            seen[key] = g
-    return seen
-
-
 def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateReport:
     """For each distinct conjugate K = H^g, search <H, K> for k with H^k = K.
 
@@ -93,7 +80,7 @@ def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateR
     """
     conj = G.conjugates(H.indices)
     witnesses: dict[Perm, Perm] = {}
-    for key, g in sorted(_distinct_conjugates(G, H).items(), key=lambda kv: kv[1]):
+    for key, g in conjugate_images(G, H).items():  # in increasing g
         if key == H.indices:
             continue
         joint = G.closure_indices(

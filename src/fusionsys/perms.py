@@ -70,7 +70,10 @@ def perm_order(p: Perm) -> int:
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Non-trivial cycles of ``p``, each starting at its least point,
-    ordered by that least point."""
+    ordered by that least point.
+
+    Raises ValidationError when ``p`` is not a permutation: a walk from a
+    point then leaves the domain or meets a point seen before."""
     n = len(p)
     seen = [False] * n
     out: list[tuple[int, ...]] = []
@@ -82,6 +85,10 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
         seen[start] = True
         j = p[start]
         while j != start:
+            if not 0 <= j < n or seen[j]:
+                raise ValidationError(
+                    f"images {tuple(p)} do not describe a bijection on "
+                    f"0..{n - 1}")
             cyc.append(j)
             seen[j] = True
             j = p[j]

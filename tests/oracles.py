@@ -328,11 +328,11 @@ def fusion_normal_oracle(ctx, Q):
     P -> S induced by some g must also be induced by an h (same coset of
     C_G(P)) that normalizes Q.  The reference for ``is_fusion_normal``."""
     G = ctx.G
-    if ctx._normalizer_in_S(Q).order != ctx.S.order:
-        return False
     q_idx = np.array(Q.indices)
     norm_Q = (np.sort(G.conjugates(q_idx), axis=1)
               == q_idx[np.newaxis, :]).all(axis=1)
+    if not norm_Q[list(ctx.S.indices)].all():  # N_S(Q) = S
+        return False
     mul = G.mul_rows
     for P in ctx.lattice_S.all:
         M = G.conjugates(P.indices)

@@ -16,8 +16,9 @@ from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, EngineError,
                        quotient_group, structure_flags,
                        subgroup_label, subgroup_product, sylow_subgroup,
                        symmetric)
-from fusionsys.perms import (compose, from_cycles, identity, inverse,
-                             perm_order)
+from fusionsys import groups
+from fusionsys.perms import (compose, conjugate, from_cycles, identity,
+                             inverse, perm_order)
 
 
 def S4():
@@ -141,15 +142,18 @@ def test_tables_match_oracle(build):
     n = G.order
     # a negative index names the same member as in numpy indexing
     assert np.array_equal(G.conjugates([-1, n - 1]), conj[:, [-1, n - 1]])
-    # unsorted requests with repeats and columns already built grow the
-    # block; the last one completes it and the table is read in element order
+    # unsorted requests with repeats and members already built grow the
+    # member-major block; the last one completes it
     built: list[int] = []
     for part in np.array_split(np.random.default_rng(n).permutation(n), 3):
         req = np.concatenate([part, built[:2], part[:1]]).astype(np.int64)
         assert np.array_equal(G.conjugates(req), conj[:, req])
         built.extend(part.tolist())
         assert np.array_equal(G.conjugates(built), conj[:, built])
-    assert G._conj is not None
+    # each member's conjugates are built once, into the row _conj_pos names
+    assert G._conj_count == n
+    assert sorted(G._conj_pos.tolist()) == list(range(n))
+    assert np.array_equal(G._conj_block[G._conj_pos], conj.T)
     assert np.array_equal(G.conj_table, conj)
     for i in (0, n // 2, n - 1):
         assert G.mul_rows[i] == M[i].tolist()
@@ -177,17 +181,18 @@ def test_large_tables_have_their_own_mapping():
     assert isinstance(G.mul_table.base, mmap.mmap)
     assert G.mul_table.flags.writeable
     G.conj_table
-    assert isinstance(G._conj.base, mmap.mmap)
+    assert G._conj_block.shape == (2520, 2520)
+    assert isinstance(G._conj_block.base, mmap.mmap)
     S = symmetric(6)  # 1 MB
     S.conj_table
     assert S.mul_table.base is None
-    assert S._conj.base is None
+    assert S._conj_block.base is None
 
 
 def test_conjugates_threads_share_one_group():
-    # four threads grow, complete and read the conjugation columns of one
+    # four threads grow, complete and read the conjugates of members of one
     # Group at once; every result must still match the oracle
-    G = alternating(6)  # order 360: the block grows from 16 columns
+    G = alternating(6)  # order 360: the block grows from 16 rows
     M = oracles.mul_table_oracle(G.elements)
     inv = np.array([G.index_of(inverse(x)) for x in G.elements])
     conj = oracles.conj_table_oracle(M, inv)
@@ -263,6 +268,45 @@ def test_normalizer_centralizer_core_match_oracle():
         oracles.naive_core(G, H.members)
 
 
+@pytest.mark.parametrize("entry", CORPUS, ids=[e.name for e in CORPUS])
+def test_conjugation_scans_match_brute_force(entry):
+    # conjugate_images and fixers against images taken one conjugator at a
+    # time with perms.conjugate, on a few subgroups, regions and conjugator
+    # sets of each corpus group
+    G = builtin_group(entry.spec)
+    els = G.elements
+    n = G.order
+    rng = np.random.default_rng(n)
+    lattice = all_subgroups(G).all
+    picks = {0, len(lattice) - 1, *rng.integers(len(lattice), size=3).tolist()}
+    for H in (lattice[i] for i in sorted(picks)):
+        # image[g]: the images of H.indices in order under g
+        image = [tuple(G.index_of(conjugate(els[x], els[g]))
+                       for x in H.indices) for g in range(n)]
+        K = lattice[int(rng.integers(len(lattice)))]
+        regions = [None, groups._mask(G, K.indices), rng.random(n) < 0.7]
+        amongs = [None, np.flatnonzero(rng.random(n) < 0.5).tolist(),
+                  list(K.indices)]
+        for region in regions:
+            for among in amongs:
+                for aligned in (False, True):
+                    want: dict = {}
+                    for g in range(n) if among is None else among:
+                        key = image[g] if aligned else tuple(sorted(image[g]))
+                        if region is None or region[list(key)].all():
+                            want.setdefault(key, g)
+                    got = groups.conjugate_images(G, H, region, among, aligned)
+                    assert list(got.items()) == list(want.items())
+        fixing = oracles.naive_normalizer(G, H.members)
+        pointwise = oracles.naive_centralizer(G, H.members)
+        for among in amongs:
+            gs = range(n) if among is None else among
+            assert groups.fixers(G, H, among) == tuple(
+                g for g in gs if els[g] in fixing)
+            assert groups.fixers(G, H, among, pointwise=True) == tuple(
+                g for g in gs if els[g] in pointwise)
+
+
 def test_normalizer_is_memoized_on_the_group():
     G = S4()
     H = Subgroup(G, G.closure_indices(
@@ -322,6 +366,14 @@ def test_quotient_group_is_homomorphism():
     assert Q.order == 6
     assert proj.is_homomorphism()
     assert set(proj.kernel_members()) == set(v.members)
+
+
+def test_group_map_rejects_a_non_permutation():
+    G = symmetric(3)
+    ident = groups.GroupMap(source=G, target=G,
+                            assignment={x: x for x in G.elements})
+    with pytest.raises(ValidationError):
+        ident.apply((0, 0, 1))  # its message formats the input in cycles
 
 
 def test_quotient_group_rejects_non_normal():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 import oracles
 from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, Limits,
                        Subgroup, ValidationError, all_subgroups, alternating,
-                       builtin_group, chief_series_below, cyclic,
+                       builtin_group, chief_series_below, classify_group,
+                       cyclic,
                        cyclic_quotient, dicyclic, dihedral, direct_product,
                        elementary_abelian, frobenius21, heisenberg,
                        lies_in_U_hypercenter, maximal_subgroups,
@@ -81,6 +82,28 @@ def test_normal_subgroups():
     assert sorted(N.order for N in normal_subgroups(G)) == [1, 4, 12, 24]
     A = alternating(4)
     assert sorted(N.order for N in normal_subgroups(A)) == [1, 4, 12]
+
+
+def test_normal_subgroups_are_memoized_on_the_group(monkeypatch):
+    # classify_group reads them for the complement search and again for
+    # the chief series, at every prime
+    tested = []
+    is_normal = lattice_mod._is_normal
+    monkeypatch.setattr(lattice_mod, "_is_normal",
+                        lambda rows, H: tested.append(H) or is_normal(rows, H))
+    G = symmetric(4)
+    for p in (2, 3):
+        classify_group(G, p)
+    assert len(tested) == len(all_subgroups(G)) == 30
+    assert normal_subgroups(G) is normal_subgroups(G)
+    assert len(tested) == 30
+    # a memo hit still checks the lattice against a smaller cap
+    tight = DEFAULT_LIMITS.scaled(subgroup_cap=29)
+    with pytest.raises(CapacityError) as err:
+        normal_subgroups(G, limits=tight)
+    assert (err.value.cap_name, err.value.reached) == ("subgroup_cap", 30)
+    with pytest.raises(CapacityError):
+        classify_group(G, 2, limits=tight)
 
 
 def test_maximal_subgroups():

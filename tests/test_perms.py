@@ -74,6 +74,15 @@ def test_cycle_string():
     assert cycle_string(from_cycles(4, [[0, 1], [2, 3]])) == "(0 1)(2 3)"
 
 
+def test_cycles_reject_non_permutations():
+    # the walk from a point leaves the domain, or meets a point seen before
+    for bad in ((1, 2, 5), (0, 0, 1), (2, 0, 0), (1, 2, 1), (-1, 0)):
+        with pytest.raises(ValidationError):
+            cycles(bad)
+    with pytest.raises(ValidationError):
+        cycle_string((1, 2, 5))
+
+
 def test_from_cycles_validation():
     with pytest.raises(ValidationError):
         from_cycles(4, [[0, 1, 0]])        # repeated point
