@@ -29,7 +29,7 @@ print("TheoremB on S4 at p=2:", out.verdict,
 
 # the whole corpus, every prime dividing each order, every theorem
 corpus = load_corpus()
-suite = run_suite(corpus, threads=4)
+suite = run_suite(corpus)
 print("\ncorpus entries:", len(corpus), " outcomes:", len(suite.outcomes))
 print("totals:", suite.totals)
 

@@ -1,8 +1,9 @@
 """Group-level classification: p-nilpotency, p-closedness, supersolvability.
 
-These are computed directly from the definitions (exhaustive searches over
-the subgroup lattice), so they serve as independent ground truth for the
-fusion-side theorems elsewhere in the package.
+These are computed from group-level facts alone: the p'-elements, a Sylow
+normalizer, a chief series and the subgroup lattice, never from the fusion
+system, so they serve as independent ground truth for the fusion-side
+theorems elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .groups import (Group, Subgroup, _as_index_array, _mask, is_prime,
-                     normalizer, p_part, sylow_subgroup)
-from .lattice import all_subgroups, chief_series_below, normal_subgroups
+from .groups import (Group, Subgroup, _as_index_array, _greedy_generators,
+                     _mask, is_prime, normalizer, p_part, sylow_subgroup)
+from .lattice import all_subgroups, chief_series_below
 from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = [
@@ -41,47 +42,34 @@ def classify_group(G: Group, p: int, *,
                    limits: Limits = DEFAULT_LIMITS) -> GroupClassification:
     """Classify G at the prime p.
 
-    p-nilpotency is decided by exhaustively searching the normal subgroups
-    for a complement of order |G| / |G|_p; a found complement is re-verified
-    (order, normality, trivial meet with a Sylow p-subgroup) rather than
-    trusted.
+    G is p-nilpotent exactly when its p'-elements form a subgroup, which is
+    then the normal p-complement.  A normal p-complement K holds every
+    p'-element, because G/K is a p-group.  Conversely, p'-elements that
+    form a subgroup form a normal one, and G over it is a p-group, because
+    each element is a p-element times a commuting p'-element.  So the
+    p'-elements are counted and, when there are |G|/|G|_p of them, checked
+    for closure.  G is p-closed when it normalizes a Sylow p-subgroup.
     """
     if not is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
     order = G.order
     mp = p_part(order, p)
-    coprime = math.gcd(p - 1, order) == 1
-    notes: list[str] = []
-
+    notes: tuple[str, ...] = ()
     if mp == 1:
-        notes.append(f"p={p} does not divide the group order {order}; "
-                     "p-nilpotency and p-closedness hold degenerately")
-        full = G.full_subgroup()
-        return GroupClassification(
-            order=order, prime=p, p_part=1, p_nilpotent=True,
-            normal_complement=full, p_closed=True,
-            supersolvable=_supersolvable(G, limits), coprime_condition=coprime,
-            notes=tuple(notes))
-
-    target = order // mp
-    S = sylow_subgroup(G, p)
+        notes = (f"p={p} does not divide the group order {order}; "
+                 "p-nilpotency and p-closedness hold degenerately",)
+    p_prime = tuple(i for i, o in enumerate(G.element_orders) if o % p)
     complement = None
-    for N in normal_subgroups(G, limits=limits):
-        if N.order == target:
-            complement = N
-            break
-    if complement is not None:
-        # re-verify instead of trusting the search
-        if complement.order != target:
-            raise ValidationError("complement has wrong order")  # unreachable
-        if len(complement.index_set & S.index_set) != 1:
-            raise ValidationError("complement meets the Sylow subgroup")  # unreachable
-    p_closed = normalizer(G, S).order == order
+    if (len(p_prime) == order // mp
+            and _greedy_generators(G, p_prime) is not None):
+        complement = Subgroup._from_closed(G, p_prime)
+    S = sylow_subgroup(G, p)
     return GroupClassification(
         order=order, prime=p, p_part=mp,
         p_nilpotent=complement is not None, normal_complement=complement,
-        p_closed=p_closed, supersolvable=_supersolvable(G, limits),
-        coprime_condition=coprime, notes=tuple(notes))
+        p_closed=normalizer(G, S).order == order,
+        supersolvable=_supersolvable(G, limits),
+        coprime_condition=math.gcd(p - 1, order) == 1, notes=notes)
 
 
 def _supersolvable(G: Group, limits: Limits) -> bool:

@@ -125,8 +125,7 @@ def _parse_subgroup(ctx: FusionContext, raw: str) -> Subgroup:
             "--subgroup must be a JSON list of generators")
     gens = [from_cycles(ctx.G.degree, cyc) for cyc in data]
     seed = [ctx.G.index_of(g) for g in gens]
-    indices = ctx.G.closure_indices(seed)
-    return Subgroup(ctx.G, indices)
+    return Subgroup._from_closed(ctx.G, ctx.G.closure_indices(seed))
 
 
 def _emit(doc: dict, args, *, seconds: float) -> None:

@@ -23,10 +23,12 @@ one lookup, and each level of the walk is filled by batched gathers of rows
 already built.  Inverses are found by one lookup of the inverted
 permutations, and element orders are the lcm of cycle lengths computed for
 all elements at once.  The table's Python-list view, ``mul_rows``, builds
-each row on first use, so a query that touches a few subgroups of a large
-group never boxes the whole n*n table.  Tables of 4 MiB or more live in
-anonymous mappings of their own (``_table_array``), so freeing a large
-group returns its tables to the OS.
+each row on first use, and only ``Group.closure_indices``, through which
+every subgroup the package builds or checks is generated, reads it: a
+closure fetches its generators' rows only, so a query that touches a few
+subgroups of a large group never boxes the whole n*n table.  Tables of
+4 MiB or more live in anonymous mappings of their own (``_table_array``),
+so freeing a large group returns its tables to the OS.
 
 Conjugation lives here, in one store and two scans.  ``Group.conjugates``
 keeps one member-major block, whose row for a member (its conjugates under
@@ -391,7 +393,7 @@ class Group(_Memo):
 
         The set grows by left multiplication by the generators, ``g*x`` is
         ``mul_rows[g][x]``, so only the generators' rows are fetched, not
-        one row per member.
+        one row per member.  No other code reads ``mul_rows``.
         """
         gens = sorted(set(seed) - {0})
         if not gens:
@@ -480,7 +482,7 @@ def _row_dtypes(degree: int) -> tuple[np.dtype, np.dtype]:
 class Subgroup:
     """A subgroup of a parent :class:`Group`, stored as sorted element indices.
 
-    The public constructor verifies closure (and therefore Lagrange); internal
+    The public constructor verifies closure (``_greedy_generators``); internal
     code that already knows the set is closed uses ``_from_closed``.
     Subgroups compare by member set within the same parent; comparing across
     parents raises ValidationError rather than silently returning False.
@@ -490,15 +492,15 @@ class Subgroup:
 
     def __init__(self, parent: Group, members: Iterable):
         idx = _member_indices(parent, members)
-        _check_closed(parent, idx)
+        gens = _greedy_generators(parent, idx)
+        if gens is None:
+            raise ValidationError("member set is not a subgroup: the closure "
+                                  "of its greedy generators leaves it")
         self.parent = parent
         self.indices = idx
         self.index_set = frozenset(idx)
         self.order = len(idx)
-        self._gens: tuple[int, ...] | None = None
-        if parent.order % self.order != 0:
-            raise ValidationError(  # unreachable for a closed set; kept as a guard
-                f"subgroup order {self.order} does not divide {parent.order}")
+        self._gens: tuple[int, ...] | None = gens
 
     @classmethod
     def _from_closed(cls, parent: Group, indices: tuple[int, ...]) -> "Subgroup":
@@ -527,13 +529,7 @@ class Subgroup:
     def generating_indices(self) -> tuple[int, ...]:
         """A small deterministic generating set (greedy over sorted indices)."""
         if self._gens is None:
-            gens: list[int] = []
-            covered: set[int] = {0}
-            for i in self.indices:
-                if i not in covered:
-                    gens.append(i)
-                    covered = set(self.parent.closure_indices(gens))
-            self._gens = tuple(gens)
+            self._gens = _greedy_generators(self.parent, self.indices)
         return self._gens
 
     @property
@@ -589,18 +585,23 @@ def _member_indices(parent: Group, members: Iterable) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
-def _check_closed(parent: Group, indices: tuple[int, ...]) -> None:
-    if 0 not in indices:
-        raise ValidationError("member set does not contain the identity")
-    mul = parent.mul_rows
-    index_set = set(indices)
-    for a in indices:
-        row = mul[a]
-        for b in indices:
-            if row[b] not in index_set:
-                raise ValidationError(
-                    "member set is not closed under multiplication "
-                    f"(product of elements {a} and {b} falls outside)")
+def _greedy_generators(G: Group, indices: tuple[int, ...]
+                       ) -> tuple[int, ...] | None:
+    """Generators of the subgroup with the sorted member indices
+    ``indices``: each member not yet generated is adjoined in turn and the
+    set closed again.  Each step at least doubles the closure, so there are
+    at most log2 of the order.  None when a closure leaves ``indices``,
+    which is when they are not a subgroup."""
+    members = frozenset(indices)
+    gens: list[int] = []
+    covered = frozenset((0,))
+    for i in indices:
+        if i not in covered:
+            gens.append(i)
+            covered = frozenset(G.closure_indices(gens))
+            if not covered <= members:
+                return None
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -791,16 +792,16 @@ def core(G: Group, H: Subgroup) -> Subgroup:
 def subgroup_product(A: Subgroup, B: Subgroup) -> Subgroup:
     """The set product ``AB`` as a subgroup.
 
-    Valid only when the product is closed (e.g. one factor normalizes the
-    other); closure is re-checked and ValidationError raised otherwise.
+    AB lies in the join <A, B> and has |A||B| / |A meet B| members, so it
+    is a subgroup, the join, exactly when the two sizes agree (e.g. when
+    one factor normalizes the other); ValidationError is raised otherwise.
     """
     A._same_parent(B)
     G = A.parent
-    mul = G.mul_rows
-    prod = {mul[a][b] for a in A.indices for b in B.indices}
-    sub = tuple(sorted(prod))
-    _check_closed(G, sub)
-    return Subgroup._from_closed(G, sub)
+    join = G.closure_indices(A.generating_indices() + B.generating_indices())
+    if len(join) * len(A.index_set & B.index_set) != A.order * B.order:
+        raise ValidationError("the set product AB is not a subgroup")
+    return Subgroup._from_closed(G, join)
 
 
 def _check_anchor(G: Group, H: Subgroup) -> None:

@@ -108,7 +108,9 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
     class's representative.  Orbits are breadth-first walks over the
     conjugation rows of ``gens``, so a walk inside a subgroup conjugates by
     that subgroup's members only.  A join whose product set |R||<x>|/|R meet
-    <x>| exceeds |H|/2 is H itself, and is not computed.
+    <x>| exceeds |H|/2 is H itself, and is not computed.  Each cyclic
+    subgroup, like each join, is a ``closure_indices`` call, so the walk
+    fetches one multiplication row per cyclic subgroup, not per member.
 
     Completeness: a subgroup K is generated by cyclic subgroups C_1, ...,
     C_k of prime-power order, since every cyclic group is generated by its
@@ -122,31 +124,24 @@ def _walk_lattice(anchor: Group, members: tuple[int, ...],
     Raises CapacityError as soon as more than ``cap`` subgroups are found,
     also in the middle of an orbit.
     """
-    mul = anchor.mul_rows
     conj = _ConjRows(anchor.conjugates(members), members)
+    orders = anchor.element_orders
     total = len(members)
 
-    # distinct cyclic subgroups of prime-power order, each with one
-    # generator; cyclic_of[x] numbers the cyclic subgroup x generates
+    # distinct cyclic subgroups of prime-power order, each closed once from
+    # its least generator x; cyclic_of[y] numbers the cyclic subgroup y
+    # generates.  <x> has one subgroup of each order, so its generators
+    # are its members of order |<x>|
     cyclics: list[tuple[tuple[int, ...], int]] = []
-    number: dict[tuple[int, ...], int] = {}
     cyclic_of: dict[int, int] = {}
     for x in members:
-        if x == 0:
+        if x in cyclic_of or len(prime_divisors(orders[x])) != 1:
             continue
-        row_x = mul[x]
-        powers = [0]
-        y = x
-        while y != 0:
-            powers.append(y)
-            y = row_x[y]
-        if len(prime_divisors(len(powers))) != 1:
-            continue
-        key = tuple(sorted(powers))
-        c = number.setdefault(key, len(cyclics))
-        if c == len(cyclics):
-            cyclics.append((key, x))
-        cyclic_of[x] = c
+        key = anchor.closure_indices((x,))
+        for y in key:
+            if orders[y] == len(key):
+                cyclic_of[y] = len(cyclics)
+        cyclics.append((key, x))
 
     rows = [conj[g] for g in sorted(set(gens) - {0})]
     found: set[tuple[int, ...]] = set()
@@ -251,8 +246,10 @@ def normal_subgroups(G: Group, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Subg
     lattice = all_subgroups(G, limits=limits).all
 
     def scan() -> tuple[Subgroup, ...]:
-        rows = G.conjugates(range(G.order))[
-            list(G.generating_indices())].tolist()
+        mul, inv = G.mul_table, G.inv_vector
+        # the conjugation row of g, x -> g^-1 (x g), in O(n)
+        rows = [mul[inv[g], mul[:, g]].tolist()
+                for g in G.generating_indices()]
         return tuple(H for H in lattice if _is_normal(rows, H))
     return G.memo(("normal_subgroups",), scan)
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from .errors import EngineError, ValidationError
 from .fusion import (FusionContext, PredicateReport, _closed_into,
                      closure_predicate)
-from .groups import (Group, Subgroup, _mask, conjugate_images, core, is_prime,
-                     normalizer, p_part, prime_divisors, sylow_subgroup)
+from .groups import (Group, Subgroup, _as_index_array, _mask,
+                     conjugate_images, core, is_prime, normalizer, p_part,
+                     prime_divisors, sylow_subgroup)
 from .lattice import all_subgroups
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
@@ -73,12 +74,16 @@ def group_predicate(G: Group, S: Subgroup, H: Subgroup, kind: str, *,
 
 
 def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateReport:
-    """For each distinct conjugate K = H^g, search <H, K> for k with H^k = K.
+    """For each distinct conjugate K = H^g, look for k in <H, K> with
+    H^k = K.
 
-    Whether a conjugator exists depends only on K, not on which g produced
-    it, so conjugates are grouped first.  Each found k is re-verified.
+    Whether such a k exists depends only on K, not on which g produced it,
+    so conjugates are grouped first.  The k with H^k = K form the coset
+    N_G(H)g, so the witness is the least k of that coset in <H, K>; it is
+    re-verified.
     """
     conj = G.conjugates(H.indices)
+    n_idx = _as_index_array(normalizer(G, H))
     witnesses: dict[Perm, Perm] = {}
     for key, g in conjugate_images(G, H).items():  # in increasing g
         if key == H.indices:
@@ -86,17 +91,17 @@ def _pronormal(G: Group, S: Subgroup, H: Subgroup, limits: Limits) -> PredicateR
         joint = G.closure_indices(
             H.generating_indices()
             + Subgroup._from_closed(G, key).generating_indices())
-        found = None
-        for k in joint:
-            if tuple(sorted(conj[k].tolist())) == key:
-                found = k
-                break
-        if found is None:
+        meet = set(G.mul_table[n_idx, g].tolist()).intersection(joint)
+        if not meet:
             return PredicateReport(kind="pronormal", holds=False, witness={
                 "conjugator": G.elements[g],
                 "image": Subgroup._from_closed(G, key),
             })
-        witnesses[G.elements[g]] = G.elements[found]
+        k = min(meet)
+        if tuple(sorted(conj[k].tolist())) != key:
+            raise EngineError("a pronormality witness does not conjugate H "
+                              "onto its image")
+        witnesses[G.elements[g]] = G.elements[k]
     return PredicateReport(kind="pronormal", holds=True,
                            witness={"conjugators": witnesses})
 

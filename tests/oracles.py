@@ -4,9 +4,10 @@ Everything here works on raw permutation tuples with no help from the
 package's Group/Subgroup machinery, so an agreement between an oracle and
 the engine is evidence, not circularity.  These are deliberately slow and
 only meant for desk-scale groups.  The exceptions are ``mul_table_oracle``,
-``conj_table_oracle``, ``walk_lattice_oracle``, ``fusion_normal_oracle`` and
-``quotient_group_oracle``: they are the engine's earlier, slower
-constructions, kept to check the faster ones that replaced them.
+``conj_table_oracle``, ``walk_lattice_oracle``, ``fusion_normal_oracle``,
+``quotient_group_oracle``, ``normal_complement_oracle`` and
+``pronormal_oracle``: they are the engine's earlier, slower constructions,
+kept to check the faster ones that replaced them.
 """
 
 from itertools import combinations
@@ -14,8 +15,10 @@ from itertools import combinations
 import numpy as np
 
 from fusionsys.errors import CapacityError, EngineError, ValidationError
-from fusionsys.groups import Group, GroupMap, Subgroup
-from fusionsys.lattice import SubgroupLattice
+from fusionsys.fusion import PredicateReport
+from fusionsys.groups import (Group, GroupMap, Subgroup, conjugate_images,
+                              p_part, sylow_subgroup)
+from fusionsys.lattice import SubgroupLattice, normal_subgroups
 from fusionsys.perms import compose, conjugate, cycle_string, identity, inverse
 
 
@@ -407,3 +410,69 @@ def quotient_group_oracle(G, N, limits):
     if tuple(sorted(proj.kernel_members())) != N.members:
         raise ValidationError("projection kernel does not match N")
     return Q, proj
+
+
+def normal_complement_oracle(G, p, limits):
+    """The normal p-complement of G, or None, by scanning the normal
+    subgroups for one of order |G| / |G|_p and re-verifying it (order, and
+    a trivial meet with a Sylow p-subgroup); the reference for the
+    p-nilpotency of ``classify_group``."""
+    target = G.order // p_part(G.order, p)
+    S = sylow_subgroup(G, p)
+    complement = None
+    for N in normal_subgroups(G, limits=limits):
+        if N.order == target:
+            complement = N
+            break
+    if complement is not None:
+        if complement.order != target:
+            raise ValidationError("complement has wrong order")
+        if len(complement.index_set & S.index_set) != 1:
+            raise ValidationError("complement meets the Sylow subgroup")
+    return complement
+
+
+def pronormal_oracle(G, H):
+    """Whether H is pronormal in G, with the engine's witnesses: for each
+    distinct conjugate K = H^g (least g), the least k of <H, K> with
+    H^k = K, found by testing every k of <H, K> in turn; the reference for
+    ``normality._pronormal``."""
+    conj = G.conjugates(H.indices)
+    witnesses = {}
+    for key, g in conjugate_images(G, H).items():
+        if key == H.indices:
+            continue
+        joint = G.closure_indices(
+            H.generating_indices()
+            + Subgroup._from_closed(G, key).generating_indices())
+        found = None
+        for k in joint:
+            if tuple(sorted(conj[k].tolist())) == key:
+                found = k
+                break
+        if found is None:
+            return PredicateReport(kind="pronormal", holds=False, witness={
+                "conjugator": G.elements[g],
+                "image": Subgroup._from_closed(G, key),
+            })
+        witnesses[G.elements[g]] = G.elements[found]
+    return PredicateReport(kind="pronormal", holds=True,
+                           witness={"conjugators": witnesses})
+
+
+def set_product(A_members, B_members):
+    """The set product AB of two sets of permutations."""
+    return {compose(a, b) for a in A_members for b in B_members}
+
+
+def cyclic_prime_power_subgroups(G):
+    """The distinct nontrivial cyclic subgroups of G of prime-power order,
+    as frozensets of permutations, each from the powers of its generator."""
+    found = set()
+    for x in G.elements:
+        powers = frozenset(naive_closure(G.degree, (x,)))
+        n = len(powers)
+        least_prime = next((q for q in range(2, n + 1) if n % q == 0), None)
+        if least_prime and p_part(n, least_prime) == n:
+            found.add(powers)
+    return found

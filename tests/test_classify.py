@@ -1,9 +1,10 @@
 import pytest
 
-from fusionsys import (ValidationError, classify_group, cyclic, dicyclic,
-                       dihedral, direct_product, frobenius21,
-                       has_strongly_p_embedded, heisenberg, psl2, symmetric,
-                       alternating)
+import oracles
+from fusionsys import (DEFAULT_LIMITS, ValidationError, classify_group,
+                       cyclic, dicyclic, dihedral, direct_product,
+                       frobenius21, has_strongly_p_embedded, heisenberg,
+                       prime_divisors, psl2, symmetric, alternating)
 
 
 @pytest.mark.parametrize("build,p,nilp,closed", [
@@ -106,3 +107,22 @@ def test_p_closed_implies_no_strongly_p_embedded(corpus):
             cls = classify_group(G, p)
             if cls.p_closed:
                 assert not has_strongly_p_embedded(G, p).found, (name, p)
+
+
+def test_p_nilpotency_matches_normal_complement_oracle(corpus):
+    # the p'-elements against a scan of the normal subgroups, at every
+    # prime dividing |G| and at the least prime that does not
+    groups = list(corpus) + [
+        ("S5", symmetric(5)),
+        ("A4xA4", direct_product(alternating(4), alternating(4))),
+        ("S4xS3", direct_product(symmetric(4), symmetric(3)))]
+    for name, G in groups:
+        primes = prime_divisors(G.order)
+        spare = next(q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                     if G.order % q)
+        for p in primes + [spare]:
+            got = classify_group(G, p)
+            want = oracles.normal_complement_oracle(G, p, DEFAULT_LIMITS)
+            assert got.p_nilpotent is (want is not None), (name, p)
+            if want is not None:
+                assert got.normal_complement.indices == want.indices, (name, p)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, EngineError,
                        Group, Limits, Subgroup, ValidationError, all_subgroups,
-                       alternating, builtin_group, cyclic, heisenberg,
+                       alternating, builtin_group, cyclic, dihedral,
+                       direct_product, heisenberg,
                        centralizer, conjugate_subgroup, core, generate_group,
                        normal_subgroups, normalizer, prime_divisors,
                        quotient_group, structure_flags,
@@ -247,6 +248,29 @@ def test_subgroup_constructor_validates():
         Subgroup(G, (0, t, u))
 
 
+def test_subgroup_constructor_fails_at_the_last_generator(monkeypatch):
+    # V4 with the last element of S4 outside it added: the greedy closures
+    # of V4's members stay inside the set, and only that element, the last
+    # generator, leaves it
+    G = S4()
+    V = normal_subgroups(G)[1]
+    assert V.order == 4
+    members = V.index_set | {max(set(range(G.order)) - V.index_set)}
+    closures = []
+    closure = G.closure_indices
+    monkeypatch.setattr(G, "closure_indices",
+                        lambda seed: closures.append(closure(seed))
+                        or closures[-1])
+    with pytest.raises(ValidationError):
+        Subgroup(G, members)
+    assert len(closures) == 3
+    assert all(set(c) <= set(members) for c in closures[:-1])
+    assert not set(closures[-1]) <= set(members)
+    # a set without the identity is no subgroup either
+    with pytest.raises(ValidationError):
+        Subgroup(G, V.indices[1:])
+
+
 def test_subgroup_cross_parent_compare():
     A = S4()
     B = symmetric(3)
@@ -400,6 +424,23 @@ def test_subgroup_product():
         [G.index_of(from_cycles(4, [[0, 2, 1, 3]]))]))
     with pytest.raises(ValidationError):
         subgroup_product(a, b)
+
+
+@pytest.mark.parametrize("build", [
+    S4, lambda: direct_product(dihedral(8), cyclic(2))])
+def test_subgroup_product_matches_the_set_product(build):
+    # on every pair: AB is the brute-force set product when that is a
+    # subgroup, and ValidationError exactly when it is not
+    G = build()
+    subs = all_subgroups(G).all
+    for A in subs:
+        for B in subs:
+            product = oracles.set_product(A.members, B.members)
+            if oracles.is_subgroup_set(product):
+                assert set(subgroup_product(A, B).members) == product
+            else:
+                with pytest.raises(ValidationError):
+                    subgroup_product(A, B)
 
 
 def test_structure_flags_and_labels():

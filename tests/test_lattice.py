@@ -10,7 +10,7 @@ from fusionsys import (CORPUS, DEFAULT_LIMITS, CapacityError, Limits,
                        cyclic_quotient, dicyclic, dihedral, direct_product,
                        elementary_abelian, frobenius21, heisenberg,
                        lies_in_U_hypercenter, maximal_subgroups,
-                       normal_subgroups, prime_divisors, psl2,
+                       normal_subgroups, normalizer, prime_divisors, psl2,
                        quotient_group, structure_flags, sylow_subgroup,
                        symmetric)
 from fusionsys import lattice as lattice_mod
@@ -85,8 +85,7 @@ def test_normal_subgroups():
 
 
 def test_normal_subgroups_are_memoized_on_the_group(monkeypatch):
-    # classify_group reads them for the complement search and again for
-    # the chief series, at every prime
+    # classify_group reads them for the chief series, at every prime
     tested = []
     is_normal = lattice_mod._is_normal
     monkeypatch.setattr(lattice_mod, "_is_normal",
@@ -104,6 +103,36 @@ def test_normal_subgroups_are_memoized_on_the_group(monkeypatch):
     assert (err.value.cap_name, err.value.reached) == ("subgroup_cap", 30)
     with pytest.raises(CapacityError):
         classify_group(G, 2, limits=tight)
+
+
+def test_normal_subgroups_read_generator_rows_only(monkeypatch):
+    # a full walk has built the conjugates of every member already; the
+    # normality scan reads only the generators' rows, built from mul_table
+    G = symmetric(5)
+    lattice = all_subgroups(G).all
+    sizes = []
+    conjugates = G.conjugates
+    monkeypatch.setattr(G, "conjugates",
+                        lambda idx: sizes.append(len(idx)) or conjugates(idx))
+    got = normal_subgroups(G)
+    assert G.order not in sizes
+    assert got == tuple(H for H in lattice
+                        if normalizer(G, H).order == G.order)
+    assert [N.order for N in got] == [1, 60, 120]
+
+
+@pytest.mark.parametrize("build,count", [
+    (lambda: symmetric(6), 241), (lambda: alternating(5), 31),
+    (lambda: direct_product(dihedral(8), cyclic(2)), 13),
+], ids=["S6", "A5", "D8xC2"])
+def test_full_walk_fetches_one_row_per_cyclic_subgroup(build, count):
+    # each cyclic subgroup of prime-power order is closed once, and every
+    # join is a closure of such generators: mul_rows holds one row per
+    # cyclic subgroup, not one per member (S6: 241 rows, not 719)
+    G = build()
+    all_subgroups(G)
+    assert len(oracles.cyclic_prime_power_subgroups(G)) == count
+    assert len(G.mul_rows) == count
 
 
 def test_maximal_subgroups():

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from fusionsys import (EngineError, FusionContext, Subgroup, ValidationError,
                        closure_predicate, dicyclic, direct_product, cyclic,
                        equivalence_suite, group_predicate, psl2,
@@ -151,3 +152,19 @@ def test_weakly_closed_implies_s_subnormalizer_spot(s4):
     for H in ctx.lattice_S.all:
         if closure_predicate(ctx, H, "weakly_closed").holds:
             assert group_predicate(G, S, H, "s_subnormalizer").holds
+
+
+def test_pronormal_matches_the_search_of_the_whole_join(corpus_contexts):
+    # the witness is read off the coset N_G(H)g; the oracle tries every k
+    # of <H, H^g> in turn
+    extra = [("S5", symmetric(5)),
+             ("S4xS3", direct_product(symmetric(4), symmetric(3)))]
+    contexts = list(corpus_contexts) + [
+        (name, p, FusionContext.build(G, p))
+        for name, G in extra for p in (2, 3)]
+    for name, p, ctx in contexts:
+        for H in ctx.lattice_S.all:
+            got = group_predicate(ctx.G, ctx.S, H, "pronormal")
+            want = oracles.pronormal_oracle(ctx.G, H)
+            assert (got.holds, got.witness) == (want.holds, want.witness), (
+                name, p, H.indices)
